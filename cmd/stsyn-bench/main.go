@@ -62,7 +62,7 @@ func scheduleRows() []experiments.ScheduleRow {
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 9, 10, 11, table1, domain, schedule, prune, scc-crossover, all")
+		fig     = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 9, 10, 11, table1, domain, schedule, prune, all")
 		max     = flag.Int("max", 0, "largest process count (0 = the paper's full sweep)")
 		csv     = flag.Bool("csv", false, "emit CSV instead of formatted tables")
 		jsonOut = flag.Bool("json", false, "run an engine perf benchmark and emit its BENCH_*.json document")
@@ -73,7 +73,7 @@ func main() {
 		bcase   = flag.String("case", "", "with -json: keep only benchmark cases whose name contains this substring")
 		cpuDir  = flag.String("cpuprofile", "", "with -json: directory for per-leg CPU profiles (<case>.<leg>.cpu.pprof)")
 		memDir  = flag.String("memprofile", "", "with -json: directory for per-leg allocation profiles (<case>.<leg>.mem.pprof)")
-		quick   = flag.Bool("quick", false, "with -json or -fig scc-crossover: shrink the benchmark instances (CI smoke)")
+		quick   = flag.Bool("quick", false, "with -json: shrink the benchmark instances (CI smoke)")
 	)
 	flag.Parse()
 
@@ -137,10 +137,6 @@ func main() {
 	case "prune":
 		// The symmetry-pruning effect on the committed ring case studies.
 		fmt.Print(experiments.FormatPruneRows(experiments.PruneEffect()))
-	case "scc-crossover":
-		// The measurement behind the explicit engine's Auto SCC selection
-		// (-quick keeps the small instances for smoke runs).
-		fmt.Print(experiments.FormatCrossover(experiments.SCCCrossover(*quick)))
 	case "table1":
 		fmt.Print(experiments.FormatCorrectability(experiments.LocalCorrectability()))
 	case "6", "7":

@@ -27,7 +27,6 @@ import (
 	"stsyn/internal/protocol"
 	"stsyn/internal/prune"
 	"stsyn/internal/service"
-	"stsyn/internal/symbolic"
 )
 
 func main() {
@@ -42,8 +41,6 @@ func main() {
 		resol    = flag.String("resolution", "batch", "cycle resolution: batch (paper) or incremental")
 		fanout   = flag.Bool("fanout", false, "try all cyclic-rotation schedules in parallel, first success wins")
 		pruneOn  = flag.Bool("prune", false, "quotient the schedule search by the spec's symmetry group and memoize shared sub-results (result is unchanged)")
-		sccAlg   = flag.String("scc", "auto", "explicit-engine SCC search: auto (by state count), tarjan, or fb (trim-based forward-backward)")
-		workers  = flag.Int("workers", 0, "engine parallelism: explicit image/SCC workers (0 = GOMAXPROCS), symbolic SCC-fixpoint workers (0 = sequential)")
 		quiet    = flag.Bool("q", false, "print only statistics, not the protocol")
 		jsonOut  = flag.Bool("json", false, "emit the result as JSON (the same encoding stsyn-serve returns)")
 		dotFile  = flag.String("dot", "", "also write the synthesized state graph as Graphviz DOT (small instances)")
@@ -81,43 +78,7 @@ func main() {
 		opts.Memo = jobMemo
 	}
 
-	// configure applies the per-engine knobs; non-default values the engine
-	// cannot honor are an error rather than a silent no-op. -workers is
-	// engine-generic (both engines parallelize), -scc is explicit-only.
-	configure := func(e stsyn.Engine) error {
-		ee, ok := e.(*explicit.Engine)
-		if !ok {
-			if *sccAlg != "auto" {
-				return fmt.Errorf("-scc requires the explicit engine")
-			}
-			if se, ok := e.(*symbolic.Engine); ok {
-				se.SetParallelism(*workers)
-				return nil
-			}
-			if *workers != 0 {
-				return fmt.Errorf("-workers is not supported by this engine")
-			}
-			return nil
-		}
-		switch *sccAlg {
-		case "auto":
-		case "tarjan":
-			ee.SetSCCAlgorithm(explicit.Tarjan)
-		case "fb":
-			ee.SetSCCAlgorithm(explicit.ForwardBackward)
-		default:
-			return fmt.Errorf("unknown scc algorithm %q (want auto, tarjan or fb)", *sccAlg)
-		}
-		ee.SetParallelism(*workers)
-		return nil
-	}
-	mkEngine := func() (stsyn.Engine, error) {
-		e, err := newEngine(sp, *engine)
-		if err != nil {
-			return nil, err
-		}
-		return e, configure(e)
-	}
+	mkEngine := func() (stsyn.Engine, error) { return newEngine(sp, *engine) }
 
 	n, _ := sp.NumStates()
 	if !*jsonOut {
@@ -215,10 +176,6 @@ func main() {
 			Fanout:      *fanout,
 			Prune:       *pruneOn,
 		}
-		if _, ok := e.(*explicit.Engine); ok {
-			j.SCC = *sccAlg
-		}
-		j.Workers = *workers
 		out := service.EncodeResult(e, res, j, verdict.OK)
 		if group != nil {
 			ps := &service.PruneStats{GroupSize: group.Size()}

@@ -93,8 +93,6 @@ const (
 	opExists
 	opRestrict
 	opSupport
-	opPermute
-	opAndExists
 
 	opCodes // number of op codes, bound for the per-op counter arrays
 )
@@ -102,7 +100,7 @@ const (
 // opNames maps operation codes to their stable external names.
 var opNames = [opCodes]string{
 	opITE: "ite", opExists: "exists", opRestrict: "restrict",
-	opSupport: "support", opPermute: "permute", opAndExists: "and-exists",
+	opSupport: "support",
 }
 
 // DefaultCacheMax is the default upper bound on the operation cache size
@@ -318,7 +316,7 @@ type Stats struct {
 	Ops             uint64 // cached recursive operations performed
 
 	// PerOp breaks the cache counters down by operation code, in a fixed
-	// order (ite, exists, restrict, support, permute, and-exists).
+	// order (ite, exists, restrict, support).
 	PerOp []OpStats
 }
 
@@ -615,62 +613,6 @@ func (m *Manager) OrN(fs ...Ref) Ref {
 // Equiv reports whether f and g denote the same function. With
 // hash-consing this is pointer equality.
 func (m *Manager) Equiv(f, g Ref) bool { return f == g }
-
-// AndExists computes the relational product ∃cube. (f ∧ g) in one pass —
-// the workhorse of image computations in relation-based symbolic model
-// checking (the engine's functional groups avoid it on the hot path, but
-// the transition-relation metrics and downstream users need it).
-func (m *Manager) AndExists(f, g, cube Ref) Ref {
-	switch {
-	case f == False || g == False:
-		return False
-	case f == True:
-		return m.Exists(g, cube)
-	case g == True:
-		return m.Exists(f, cube)
-	case f == g:
-		return m.Exists(f, cube)
-	case cube == True:
-		return m.And(f, g)
-	}
-	// Conjunction is commutative: canonicalize the operand order so
-	// (f,g) and (g,f) share one cache entry.
-	if g < f {
-		f, g = g, f
-	}
-	top := m.level(f)
-	if l := m.level(g); l < top {
-		top = l
-	}
-	// Skip quantified variables above both operands, and key the cache on
-	// the *skipped* cube: calls differing only in already-passed quantified
-	// levels compute the same function.
-	c := cube
-	for !m.IsTerminal(c) && m.level(c) < top {
-		c = m.nodes[c].hi
-	}
-	if c == True {
-		return m.And(f, g)
-	}
-	if r, ok := m.cacheGet(opAndExists, f, g, c); ok {
-		return r
-	}
-	f0, f1 := m.cofactors(f, top)
-	g0, g1 := m.cofactors(g, top)
-	var r Ref
-	if !m.IsTerminal(c) && m.level(c) == top {
-		// Quantified at this level: OR of the two cofactor products; short-
-		// circuit when the first branch is already True.
-		r = m.AndExists(f0, g0, m.nodes[c].hi)
-		if r != True {
-			r = m.Or(r, m.AndExists(f1, g1, m.nodes[c].hi))
-		}
-	} else {
-		r = m.mk(top, m.AndExists(f0, g0, c), m.AndExists(f1, g1, c))
-	}
-	m.cachePut(opAndExists, f, g, c, r)
-	return r
-}
 
 // Exists existentially quantifies away every variable in cube, which must
 // be a positive cube (a conjunction of positive literals, e.g. from Cube).

@@ -141,36 +141,6 @@ func TestExistsMultiVar(t *testing.T) {
 	}
 }
 
-func TestAndExists(t *testing.T) {
-	m := New(6)
-	rng := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 200; iter++ {
-		f, _ := randBDD(m, rng, 4)
-		g, _ := randBDD(m, rng, 4)
-		var vars []int
-		for v := 0; v < 6; v++ {
-			if rng.Intn(3) == 0 {
-				vars = append(vars, v)
-			}
-		}
-		cube := m.Cube(vars)
-		if got, want := m.AndExists(f, g, cube), m.Exists(m.And(f, g), cube); got != want {
-			t.Fatalf("AndExists disagrees with ∃.(f∧g) for vars %v", vars)
-		}
-	}
-	// Edge cases.
-	x := m.Var(0)
-	if m.AndExists(x, False, m.Cube([]int{0})) != False {
-		t.Error("AndExists with false operand")
-	}
-	if m.AndExists(x, True, m.Cube([]int{0})) != True {
-		t.Error("∃x. x should be true")
-	}
-	if m.AndExists(x, m.Var(1), True) != m.And(x, m.Var(1)) {
-		t.Error("empty cube should reduce to And")
-	}
-}
-
 func TestRestrict(t *testing.T) {
 	m := New(5)
 	rng := rand.New(rand.NewSource(13))
@@ -265,24 +235,6 @@ func TestDagSize(t *testing.T) {
 	// Sharing is real: the union is smaller than the sum of the parts.
 	if s := m.SharedDagSize([]Ref{f, f}); s != m.DagSize(f) {
 		t.Errorf("SharedDagSize of duplicate roots = %d, want %d", s, m.DagSize(f))
-	}
-}
-
-func TestPermute(t *testing.T) {
-	m := New(4)
-	rng := rand.New(rand.NewSource(55))
-	perm := []int{2, 3, 0, 1}
-	for iter := 0; iter < 100; iter++ {
-		f, ref := randBDD(m, rng, 3)
-		g := m.Permute(f, perm)
-		brute(t, m, g, func(a []bool) bool {
-			// g(a) = f(b) where b[v] = a[perm[v]].
-			b := make([]bool, 4)
-			for v := range b {
-				b[v] = a[perm[v]]
-			}
-			return ref(b)
-		})
 	}
 }
 

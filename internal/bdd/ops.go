@@ -94,33 +94,6 @@ func (m *Manager) SharedDagSize(fs []Ref) int {
 	return len(seen)
 }
 
-// Permute renames variables: every variable v in the support of f is
-// replaced by perm[v]. perm must be a permutation of 0..NumVars-1. The
-// implementation rebuilds bottom-up with ITE so arbitrary (order-breaking)
-// permutations are handled correctly.
-func (m *Manager) Permute(f Ref, perm []int) Ref {
-	if len(perm) != int(m.nvars) {
-		panic("bdd: Permute: permutation length mismatch")
-	}
-	memo := make(map[Ref]Ref)
-	var rec func(Ref) Ref
-	rec = func(g Ref) Ref {
-		if m.IsTerminal(g) {
-			return g
-		}
-		if r, ok := memo[g]; ok {
-			return r
-		}
-		n := &m.nodes[g]
-		lo := rec(n.lo)
-		hi := rec(n.hi)
-		r := m.ITE(m.Var(perm[n.level]), hi, lo)
-		memo[g] = r
-		return r
-	}
-	return rec(f)
-}
-
 // Support returns the sorted levels of the variables f depends on.
 func (m *Manager) Support(f Ref) []int {
 	seen := make(map[Ref]bool)
@@ -166,35 +139,6 @@ func (m *Manager) CopyFrom(src *Manager, f Ref, memo map[Ref]Ref) Ref {
 	lo := m.CopyFrom(src, n.lo, memo)
 	hi := m.CopyFrom(src, n.hi, memo)
 	r := m.mk(n.level, lo, hi)
-	memo[f] = r
-	return r
-}
-
-// CopyPermutedFrom migrates a BDD rooted at f in the source manager into m
-// while renaming variables: every variable v in the support of f becomes
-// levelMap[v] in m. levelMap must be injective on the support but need not
-// preserve the level order — the translation rebuilds bottom-up with ITE,
-// so order-breaking maps are handled correctly (at ITE cost; maps that
-// preserve the relative order reduce to plain node construction). memo
-// caches translations across calls, exactly like CopyFrom's.
-//
-// Together with CopyFrom this is the engine-side reordering primitive: run
-// a computation in a scratch manager under a different variable order, then
-// translate the (small) results back with the inverse map.
-func (m *Manager) CopyPermutedFrom(src *Manager, f Ref, levelMap []int, memo map[Ref]Ref) Ref {
-	if len(levelMap) != int(src.nvars) {
-		panic("bdd: CopyPermutedFrom: level map length mismatch")
-	}
-	if f <= True {
-		return f
-	}
-	if r, ok := memo[f]; ok {
-		return r
-	}
-	n := &src.nodes[f]
-	lo := m.CopyPermutedFrom(src, n.lo, levelMap, memo)
-	hi := m.CopyPermutedFrom(src, n.hi, levelMap, memo)
-	r := m.ITE(m.Var(levelMap[n.level]), hi, lo)
 	memo[f] = r
 	return r
 }

@@ -55,12 +55,8 @@ func CheckExplicit(fresh, base ExplicitBench, tol Tolerances) (bad, warn []strin
 		factor := tol.forCase(c.Name)
 		bad = append(bad, checkLeg(c.Name+"/kernel", c.Kernel.TotalMs, c.Kernel.Verified, c.Kernel.Err,
 			b.Kernel.TotalMs, factor)...)
-		bad = append(bad, checkLeg(c.Name+"/kernel_fb", c.KernelFB.TotalMs, c.KernelFB.Verified, c.KernelFB.Err,
-			b.KernelFB.TotalMs, factor)...)
 		warn = append(warn, warnAllocs(c.Name+"/kernel",
 			c.Kernel.AllocBytes, c.Kernel.AllocObjects, b.Kernel.AllocBytes, b.Kernel.AllocObjects)...)
-		warn = append(warn, warnAllocs(c.Name+"/kernel_fb",
-			c.KernelFB.AllocBytes, c.KernelFB.AllocObjects, b.KernelFB.AllocBytes, b.KernelFB.AllocObjects)...)
 	}
 	return bad, warn
 }
@@ -83,12 +79,8 @@ func CheckSymbolic(fresh, base SymbolicBench, tol Tolerances) (bad, warn []strin
 		factor := tol.forCase(c.Name)
 		bad = append(bad, checkLeg(c.Name+"/tuned", c.Tuned.TotalMs, c.Tuned.Verified, c.Tuned.Err,
 			b.Tuned.TotalMs, factor)...)
-		bad = append(bad, checkLeg(c.Name+"/tuned_workers", c.TunedWorkers.TotalMs, c.TunedWorkers.Verified,
-			c.TunedWorkers.Err, b.TunedWorkers.TotalMs, factor)...)
 		warn = append(warn, warnAllocs(c.Name+"/tuned",
 			c.Tuned.AllocBytes, c.Tuned.AllocObjects, b.Tuned.AllocBytes, b.Tuned.AllocObjects)...)
-		warn = append(warn, warnAllocs(c.Name+"/tuned_workers",
-			c.TunedWorkers.AllocBytes, c.TunedWorkers.AllocObjects, b.TunedWorkers.AllocBytes, b.TunedWorkers.AllocObjects)...)
 	}
 	return bad, warn
 }

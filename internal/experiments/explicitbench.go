@@ -15,9 +15,8 @@ import (
 // The explicit-engine kernel benchmark: the same synthesis workload run
 // twice on the explicit engine, once with the retained per-state reference
 // scans (the pre-kernel engine) and once with the word-level delta-shift
-// kernels, plus a third leg with the forward-backward SCC search selected.
-// The committed BENCH_explicit.json baseline is generated from these rows
-// (`stsyn-bench -json` / scripts/bench.sh).
+// kernels. The committed BENCH_explicit.json baseline is generated from
+// these rows (`stsyn-bench -json` / scripts/bench.sh).
 
 // ExplicitLeg is one measured synthesis run.
 type ExplicitLeg struct {
@@ -38,12 +37,11 @@ type ExplicitBenchRow struct {
 	Groups int     `json:"groups"`
 
 	Reference ExplicitLeg `json:"reference"` // per-state scans
-	Kernel    ExplicitLeg `json:"kernel"`    // delta-shift kernels, Tarjan SCC
-	KernelFB  ExplicitLeg `json:"kernel_fb"` // delta-shift kernels, FB SCC
+	Kernel    ExplicitLeg `json:"kernel"`    // delta-shift kernels
 
 	// Speedup is Reference.TotalMs / Kernel.TotalMs.
 	Speedup float64 `json:"speedup"`
-	// ProtocolsMatch reports that all legs synthesized the identical
+	// ProtocolsMatch reports that both legs synthesized the identical
 	// protocol (same group keys) — the kernels must not change results.
 	ProtocolsMatch bool `json:"protocols_match"`
 }
@@ -141,11 +139,11 @@ func runExplicitLeg(sp *protocol.Spec, configure func(*explicit.Engine)) (Explic
 }
 
 // ExplicitBenchmark runs the before/after kernel benchmark over the case
-// studies. All three legs share the default rank scheme (frontier BFS,
+// studies. Both legs share the default rank scheme (frontier BFS,
 // fast-fail), so the rows keep isolating the kernel speedup.
 func ExplicitBenchmark(opts BenchOpts) ExplicitBench {
 	bench := ExplicitBench{
-		Description: "explicit engine: per-state reference scans vs word-level delta-shift kernels (same synthesis workload; kernel_fb additionally selects the forward-backward SCC search)",
+		Description: "explicit engine: per-state reference scans vs word-level delta-shift kernels (same synthesis workload)",
 	}
 	for _, c := range explicitBenchCases(opts.Quick) {
 		if !opts.keep(c.Name) {
@@ -156,10 +154,7 @@ func ExplicitBenchmark(opts BenchOpts) ExplicitBench {
 			row.States = e.States(e.Universe())
 			row.Groups = len(e.ActionGroups()) + len(e.CandidateGroups())
 		}
-		var refKeys, kernKeys, fbKeys []protocol.Key
-		// Both baseline legs pin Tarjan: the row isolates the kernel
-		// speedup, and the Auto default would otherwise fold the SCC
-		// choice into the comparison.
+		var refKeys, kernKeys []protocol.Key
 		profiled := func(leg string, cfg func(*explicit.Engine)) (ExplicitLeg, []protocol.Key) {
 			stop := opts.startCPU(c.Name+"."+leg, true)
 			l, k := runExplicitLeg(c.Spec, cfg)
@@ -169,19 +164,12 @@ func ExplicitBenchmark(opts BenchOpts) ExplicitBench {
 		}
 		row.Reference, refKeys = profiled("reference", func(e *explicit.Engine) {
 			e.SetReferenceKernels(true)
-			e.SetSCCAlgorithm(explicit.Tarjan)
 		})
-		row.Kernel, kernKeys = profiled("kernel", func(e *explicit.Engine) {
-			e.SetSCCAlgorithm(explicit.Tarjan)
-		})
-		row.KernelFB, fbKeys = profiled("kernel_fb", func(e *explicit.Engine) {
-			e.SetSCCAlgorithm(explicit.ForwardBackward)
-		})
+		row.Kernel, kernKeys = profiled("kernel", func(*explicit.Engine) {})
 		if row.Kernel.TotalMs > 0 {
 			row.Speedup = row.Reference.TotalMs / row.Kernel.TotalMs
 		}
-		row.ProtocolsMatch = refKeys != nil &&
-			sameKeys(refKeys, kernKeys) && sameKeys(refKeys, fbKeys)
+		row.ProtocolsMatch = refKeys != nil && sameKeys(refKeys, kernKeys)
 		bench.Cases = append(bench.Cases, row)
 	}
 	return bench

@@ -15,11 +15,9 @@ import (
 // with the reference fixpoint scheme (full-image trim, whole-set SCC
 // grow, throwaway scratch managers — the pre-tuning engine) and with the
 // tuned default (dead-group dropping, frontier grow, retained warm
-// scratch manager with a persistent→scratch copy memo), plus a third leg
-// adding parallel SCC fixpoints to document that the worker pool changes
-// nothing but wall-clock. The committed BENCH_symbolic.json baseline is
-// generated from these rows (`stsyn-bench -json -engine symbolic` /
-// scripts/bench.sh).
+// scratch manager with a persistent→scratch copy memo). The committed
+// BENCH_symbolic.json baseline is generated from these rows
+// (`stsyn-bench -json -engine symbolic` / scripts/bench.sh).
 
 // SymbolicLeg is one measured synthesis run on the symbolic engine.
 type SymbolicLeg struct {
@@ -41,13 +39,12 @@ type SymbolicBenchRow struct {
 	States float64 `json:"states"`
 	Groups int     `json:"groups"`
 
-	Reference    SymbolicLeg `json:"reference"`     // reference fixpoints, throwaway scratch
-	Tuned        SymbolicLeg `json:"tuned"`         // frontier/dropping fixpoints + warm scratch
-	TunedWorkers SymbolicLeg `json:"tuned_workers"` // tuned + parallel SCC fixpoints
+	Reference SymbolicLeg `json:"reference"` // reference fixpoints, throwaway scratch
+	Tuned     SymbolicLeg `json:"tuned"`     // frontier/dropping fixpoints + warm scratch
 
 	// Speedup is Reference.TotalMs / Tuned.TotalMs.
 	Speedup float64 `json:"speedup"`
-	// ProtocolsMatch reports that all legs synthesized the identical
+	// ProtocolsMatch reports that both legs synthesized the identical
 	// protocol (same group keys) — the knobs must not change results.
 	ProtocolsMatch bool `json:"protocols_match"`
 }
@@ -65,7 +62,7 @@ type SymbolicBench struct {
 // or over a minute per leg (two-ring) — exercise the warm-scratch
 // ranking/recovery images and the balanced union trees that pass added.
 // Quick mode keeps only the small instances: two-ring alone costs
-// minutes across nine legs, far past a CI smoke budget.
+// minutes across six legs, far past a CI smoke budget.
 func symbolicBenchCases(quick bool) []struct {
 	Name string
 	Spec *protocol.Spec
@@ -137,21 +134,20 @@ func runSymbolicLeg(sp *protocol.Spec, configure func(*symbolic.Engine)) (Symbol
 
 // SymbolicBenchmark runs the before/after tuning benchmark over the case
 // studies. quick shrinks the instances for CI smoke runs. Each leg is
-// the minimum of three reps, interleaved across the legs (ref, tuned,
-// tuned+workers, ref, ...) so load drift on a shared machine hits every
+// the minimum of three reps, interleaved across the legs (ref, tuned, ref,
+// ...) so load drift on a shared machine hits every
 // leg alike — the committed baseline should reflect the engine, not the
 // scheduler. The synthesized protocol is deterministic, so any rep's
 // keys serve for the cross-leg comparison.
 func SymbolicBenchmark(opts BenchOpts) SymbolicBench {
 	bench := SymbolicBench{
-		Description: "symbolic engine: reference fixpoints and ranks (full-image trim, whole-set SCC grow and rank BFS, throwaway scratch, persistent-manager images) vs the tuned default (dead-group dropping, frontier grow and rank BFS, retained warm scratch manager for SCC and ranking/recovery images, balanced union trees, rank-infinity fast-fail); tuned_workers additionally farms SCC fixpoints across 2 workers; times are min-of-3 interleaved reps",
+		Description: "symbolic engine: reference fixpoints and ranks (full-image trim, whole-set SCC grow and rank BFS, throwaway scratch, persistent-manager images) vs the tuned default (dead-group dropping, frontier grow and rank BFS, retained warm scratch manager for SCC and ranking/recovery images, balanced union trees, rank-infinity fast-fail); times are min-of-3 interleaved reps",
 	}
 	cfgs := []func(*symbolic.Engine){
 		func(e *symbolic.Engine) { e.SetReferenceFixpoints(true); e.SetReferenceRanks(true) },
 		nil,
-		func(e *symbolic.Engine) { e.SetParallelism(2) },
 	}
-	legNames := [3]string{"reference", "tuned", "tuned_workers"}
+	legNames := [2]string{"reference", "tuned"}
 	for _, c := range symbolicBenchCases(opts.Quick) {
 		if !opts.keep(c.Name) {
 			continue
@@ -161,8 +157,8 @@ func SymbolicBenchmark(opts BenchOpts) SymbolicBench {
 			row.States = e.States(e.Universe())
 			row.Groups = len(e.ActionGroups()) + len(e.CandidateGroups())
 		}
-		var legs [3]SymbolicLeg
-		var keys [3][]protocol.Key
+		var legs [2]SymbolicLeg
+		var keys [2][]protocol.Key
 		for r := 0; r < 3; r++ {
 			for i, cfg := range cfgs {
 				stop := opts.startCPU(c.Name+"."+legNames[i], r == 0)
@@ -174,12 +170,11 @@ func SymbolicBenchmark(opts BenchOpts) SymbolicBench {
 				}
 			}
 		}
-		row.Reference, row.Tuned, row.TunedWorkers = legs[0], legs[1], legs[2]
+		row.Reference, row.Tuned = legs[0], legs[1]
 		if row.Tuned.TotalMs > 0 {
 			row.Speedup = row.Reference.TotalMs / row.Tuned.TotalMs
 		}
-		row.ProtocolsMatch = keys[0] != nil &&
-			sameKeys(keys[0], keys[1]) && sameKeys(keys[0], keys[2])
+		row.ProtocolsMatch = keys[0] != nil && sameKeys(keys[0], keys[1])
 		bench.Cases = append(bench.Cases, row)
 	}
 	return bench

@@ -1,9 +1,8 @@
 // Package explicit is the explicit-state engine: state predicates are
 // bitsets over dense mixed-radix state indices, transition-group images are
 // word-level shift kernels (every group is a uniform index translation
-// dst = src + Δ), and cycles are found with an iterative Tarjan SCC or a
-// trim-based parallel forward-backward search (SetSCCAlgorithm). It
-// implements core.Engine for state spaces that fit in memory and serves as
+// dst = src + Δ), and cycles are found by trimming to the cycle core and
+// running an iterative Tarjan SCC search on what remains. It implements core.Engine for state spaces that fit in memory and serves as
 // the differential-testing oracle for the symbolic engine.
 package explicit
 
@@ -210,35 +209,13 @@ func (b *Bitset) IntersectsBoth(o1, o2 *Bitset) bool {
 	return false
 }
 
-// wordRange returns the indices of b's first and last non-zero words, or
-// ok=false when the set is empty. Callers amortize it over many shift
-// kernels to bound their scans to the live window.
-func (b *Bitset) wordRange() (lo, hi int, ok bool) {
-	lo = -1
-	for i, w := range b.words {
-		if w != 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-		}
-	}
-	return lo, hi, lo >= 0
-}
-
 // OrShiftMasked sets b |= { i+delta : i ∈ x } ∩ mask in a single word pass,
 // with no intermediate set. b must not alias x or mask. The mask must be
 // trimmed (no bits ≥ n), which holds for every engine-owned set, so the
 // result needs no trim pass of its own.
 func (b *Bitset) OrShiftMasked(x *Bitset, delta int64, mask *Bitset) *Bitset {
-	return b.orShiftMaskedRange(x, delta, mask, 0, len(x.words)-1)
-}
-
-// orShiftMaskedRange is OrShiftMasked restricted to x's non-zero word window
-// [xlo, xhi] (from x.wordRange): only output words that can receive a bit
-// are touched, so a localized x costs O(window) instead of O(universe).
-func (b *Bitset) orShiftMaskedRange(x *Bitset, delta int64, mask *Bitset, xlo, xhi int) *Bitset {
 	w, s, m := b.words, x.words, mask.words
+	xlo, xhi := 0, len(s)-1
 	if delta >= 0 {
 		q := int(delta / 64)
 		r := uint(delta % 64)
@@ -305,13 +282,8 @@ func (b *Bitset) orShiftMaskedRange(x *Bitset, delta int64, mask *Bitset, xlo, x
 // exits on the first intersecting word, so on dense inputs it is O(1) like
 // the early-exiting per-state scan it replaces. Masks must be trimmed.
 func (b *Bitset) ShiftIntersects(delta int64, m1, m2 *Bitset) bool {
-	return b.shiftIntersectsRange(delta, m1, m2, 0, len(b.words)-1)
-}
-
-// shiftIntersectsRange is ShiftIntersects restricted to b's non-zero word
-// window [xlo, xhi] (from b.wordRange).
-func (b *Bitset) shiftIntersectsRange(delta int64, m1, m2 *Bitset, xlo, xhi int) bool {
 	s := b.words
+	xlo, xhi := 0, len(s)-1
 	if delta >= 0 {
 		q := int(delta / 64)
 		r := uint(delta % 64)

@@ -12,6 +12,19 @@ import (
 // Larger protocols should use the symbolic engine.
 const DefaultMaxStates = 1 << 24
 
+// AutoMaxStates is the largest state space the engine "auto" rule gives to
+// the explicit engine; larger ones, and ones whose size overflows, go to
+// the symbolic engine.
+const AutoMaxStates = 1 << 20
+
+// AutoSelects reports whether engine "auto" resolves to the explicit
+// engine for sp. The CLI, the library's NewEngine and the service all
+// resolve "auto" through it.
+func AutoSelects(sp *protocol.Spec) bool {
+	n, ok := sp.NumStates()
+	return ok && n <= AutoMaxStates
+}
+
 // group is the engine-side representation of a transition group. Because
 // w ⊆ r, every transition in a group applies the same index delta; the group
 // is { (s, s+delta) : s matches the readable valuation }.
@@ -26,8 +39,6 @@ type group struct {
 	srcSet   *Bitset  // lazy cache of the source set
 	dstSet   *Bitset  // lazy cache of the destination set (srcSet shifted by delta)
 	srcCount uint64   // |srcSet|, set when srcSet is materialized
-	srcLoW   int      // first non-zero word of srcSet
-	srcHiW   int      // last non-zero word of srcSet
 }
 
 func (g *group) Proc() int                     { return g.pg.Proc }
@@ -53,8 +64,7 @@ type Engine struct {
 	readWeight [][]uint64
 	readDom    [][]int
 
-	workers int          // image/SCC parallelism (0 = GOMAXPROCS)
-	sccAlg  SCCAlgorithm // cycle-detection algorithm (default Auto)
+	workers int // image parallelism (0 = GOMAXPROCS)
 
 	// refKernels switches the image operations back to the per-state
 	// reference scans the word-level kernels replaced. The scans are kept
@@ -261,7 +271,6 @@ func (e *Engine) sources(g *group) *Bitset {
 		n := uint64(0)
 		e.forEachSrc(g, func(src uint64) bool { b.Set(src); n++; return true })
 		g.srcCount = n
-		g.srcLoW, g.srcHiW, _ = b.wordRange() // never empty: srcBase is a source
 		g.srcSet = b
 	}
 	return g.srcSet
@@ -371,9 +380,9 @@ func (e *Engine) Pre(gs []core.Group, X core.Set) core.Set {
 	x := X.(*Bitset)
 	e.kstats.PreCalls++
 	if e.refKernels {
-		return e.scanGroups(gs, func(gg *group, acc *Bitset) { e.preRef(gg, x, acc) })
+		return e.scanGroups(gs, nil, func(gg *group, acc *Bitset) { e.preRef(gg, x, acc) })
 	}
-	return e.scanGroups(gs, func(gg *group, acc *Bitset) {
+	return e.scanGroups(gs, e.fillSources, func(gg *group, acc *Bitset) {
 		if e.sparse(gg) {
 			e.preRef(gg, x, acc)
 			return
@@ -386,9 +395,9 @@ func (e *Engine) Post(gs []core.Group, X core.Set) core.Set {
 	x := X.(*Bitset)
 	e.kstats.PostCalls++
 	if e.refKernels {
-		return e.scanGroups(gs, func(gg *group, acc *Bitset) { e.postRef(gg, x, acc) })
+		return e.scanGroups(gs, nil, func(gg *group, acc *Bitset) { e.postRef(gg, x, acc) })
 	}
-	return e.scanGroups(gs, func(gg *group, acc *Bitset) {
+	return e.scanGroups(gs, e.fillDests, func(gg *group, acc *Bitset) {
 		if e.sparse(gg) {
 			e.postRef(gg, x, acc)
 			return
@@ -398,9 +407,20 @@ func (e *Engine) Post(gs []core.Group, X core.Set) core.Set {
 }
 
 func (e *Engine) EnabledSources(gs []core.Group) core.Set {
-	return e.scanGroups(gs, func(gg *group, acc *Bitset) {
+	return e.scanGroups(gs, e.fillSources, func(gg *group, acc *Bitset) {
 		acc.OrInPlace(e.sources(gg))
 	})
+}
+
+// fillSources and fillDests fill the lazy caches the Pre/EnabledSources
+// and Post kernels read: the source set, plus the destination set of the
+// groups Post shifts word by word.
+func (e *Engine) fillSources(gg *group) { e.sources(gg) }
+
+func (e *Engine) fillDests(gg *group) {
+	if !e.sparse(gg) {
+		e.dests(gg)
+	}
 }
 
 // --- Per-state reference scans (test oracle / benchmark baseline) --------

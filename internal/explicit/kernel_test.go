@@ -1,7 +1,9 @@
 package explicit
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"stsyn/internal/core"
@@ -89,10 +91,27 @@ func randomSubset(e *Engine, rng *rand.Rand) *Bitset {
 	return b
 }
 
+// componentFingerprints renders a component list as a sorted slice of
+// canonical strings, so two SCC searches can be compared regardless of the
+// order they emit components in.
+func componentFingerprints(sccs []core.Set) []string {
+	out := make([]string, 0, len(sccs))
+	for _, s := range sccs {
+		var elems []uint64
+		s.(*Bitset).ForEach(func(i uint64) bool {
+			elems = append(elems, i)
+			return true
+		})
+		out = append(out, fmt.Sprint(elems))
+	}
+	sort.Strings(out)
+	return out
+}
+
 // checkKernelEquivalence asserts that the word-level shift kernels agree
 // bit-for-bit with the retained per-state reference scans on sp: image
-// operations and group tests, over the invariant, its complement, the
-// universe, the empty set and a batch of random sets.
+// operations, group tests and the trimmed SCC search, over the invariant,
+// its complement, the universe, the empty set and a batch of random sets.
 func checkKernelEquivalence(t *testing.T, sp *protocol.Spec, seed int64) {
 	t.Helper()
 	kern, err := New(sp, 0)
@@ -128,6 +147,11 @@ func checkKernelEquivalence(t *testing.T, sp *protocol.Spec, seed int64) {
 		}
 		if got, want := kern.Post(kgs, x).(*Bitset), ref.Post(rgs, x).(*Bitset); !got.Equal(want) {
 			t.Fatalf("set %d: Post kernel != reference", si)
+		}
+		got := componentFingerprints(kern.CyclicSCCs(kgs, x))
+		want := componentFingerprints(ref.CyclicSCCs(rgs, x))
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("set %d: trimmed CyclicSCCs %v != reference %v", si, got, want)
 		}
 		for gi := range kgs {
 			if got, want := kern.GroupDstInto(kgs[gi], x), ref.GroupDstInto(rgs[gi], x); got != want {

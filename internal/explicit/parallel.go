@@ -21,8 +21,7 @@ import (
 const parallelThreshold = 64
 
 // SetParallelism sets the number of workers used by Pre/Post/EnabledSources
-// and the forward-backward SCC search (0 restores the default GOMAXPROCS;
-// 1 forces sequential execution).
+// (0 restores the default GOMAXPROCS; 1 forces sequential execution).
 func (e *Engine) SetParallelism(workers int) {
 	if workers < 0 {
 		workers = 0
@@ -50,7 +49,10 @@ func (e *Engine) workerCount(ngroups int) int {
 // scanGroups partitions gs across workers; each worker folds its share into
 // a private bitset via fold, and the privates are OR-merged pairwise. Chunks
 // past the end of gs leave their private nil and take no part in the merge.
-func (e *Engine) scanGroups(gs []core.Group, fold func(g *group, acc *Bitset)) *Bitset {
+// fill (nil when fold reads no lazy cache) fills the per-group caches fold
+// reads. It runs for every group before the workers start: a group may
+// appear in gs more than once, and two workers must not fill one cache.
+func (e *Engine) scanGroups(gs []core.Group, fill func(g *group), fold func(g *group, acc *Bitset)) *Bitset {
 	nw := e.workerCount(len(gs))
 	if nw == 1 {
 		acc := NewBitset(e.n)
@@ -58,6 +60,11 @@ func (e *Engine) scanGroups(gs []core.Group, fold func(g *group, acc *Bitset)) *
 			fold(g.(*group), acc)
 		}
 		return acc
+	}
+	if fill != nil {
+		for _, g := range gs {
+			fill(g.(*group))
+		}
 	}
 	privates := make([]*Bitset, nw)
 	var wg sync.WaitGroup

@@ -8,7 +8,9 @@ import (
 
 // TestParallelImagesMatchSequential checks that the parallel image
 // operations are bit-identical to the sequential path on a protocol large
-// enough to cross the fan-out threshold.
+// enough to cross the fan-out threshold. Every group is listed twice, so
+// under -race it also checks that two workers whose chunks share a group
+// do not both fill its lazy caches.
 func TestParallelImagesMatchSequential(t *testing.T) {
 	sp := protocols.Matching(7) // 7 × 54 candidate groups ≫ threshold
 	seq, err := New(sp, 0)
@@ -22,8 +24,8 @@ func TestParallelImagesMatchSequential(t *testing.T) {
 	}
 	par.SetParallelism(4)
 
-	sgs := seq.CandidateGroups()
-	pgs := par.CandidateGroups()
+	sgs := append(seq.CandidateGroups(), seq.CandidateGroups()...)
+	pgs := append(par.CandidateGroups(), par.CandidateGroups()...)
 	for _, x := range []struct {
 		s, p *Bitset
 		name string

@@ -8,13 +8,10 @@ import (
 
 // CyclicSCCs returns the strongly connected components of the union of gs
 // restricted to states in within that contain a cycle: size ≥ 2, or a
-// single state with a self-loop. The search algorithm is selectable with
-// SetSCCAlgorithm: an iterative Tarjan DFS (the oracle the set-based
-// search is differentially tested against), the parallel forward-backward
-// search of fbscc.go, or Auto — the default — which picks by state count
-// (see effectiveSCC). Either way the search space is first
-// trimmed to its cycle core with word-level fixpoints — except in reference
-// mode, which measures the true pre-kernel engine.
+// single state with a self-loop. The search space is first trimmed to its
+// cycle core with word-level fixpoints, then searched with an iterative
+// Tarjan DFS — except in reference mode, which runs Tarjan on the untrimmed
+// space to measure the true pre-kernel engine.
 func (e *Engine) CyclicSCCs(gs []core.Group, within core.Set) []core.Set {
 	t0 := time.Now() //lint:ignore determinism wall-clock SCC stats only; synthesis results never read them
 	defer func() {
@@ -30,10 +27,58 @@ func (e *Engine) CyclicSCCs(gs []core.Group, within core.Set) []core.Set {
 	if cc == nil || cc.IsEmpty() {
 		return nil
 	}
-	if e.effectiveSCC() == ForwardBackward {
-		return e.fbDecompose(groups, cc)
-	}
 	return e.tarjanSCCs(gs, cc)
+}
+
+// materialGroups converts gs to engine groups with their source and
+// destination caches materialized up front, as trimCore's kernels read
+// srcSet and dstSet directly.
+func (e *Engine) materialGroups(gs []core.Group) []*group {
+	groups := make([]*group, 0, len(gs))
+	for _, g := range gs {
+		gg := g.(*group)
+		e.sources(gg)
+		e.dests(gg)
+		groups = append(groups, gg)
+	}
+	return groups
+}
+
+// trimCore trims w to its cycle core: the greatest subset in which every
+// state has both a successor and a predecessor inside the subset. Every
+// cyclic SCC lies entirely within the core, so Tarjan searches the core
+// instead of w. In the common case — the heuristic keeps the recovery
+// graph acyclic — the core empties out after a few word-level fixpoint
+// rounds and the search is skipped entirely. Returns nil when canceled.
+func (e *Engine) trimCore(groups []*group, w *Bitset) *Bitset {
+	cc := w.Clone()
+	hasSucc := NewBitset(e.n)
+	hasPred := NewBitset(e.n)
+	for {
+		if e.canceled() {
+			return nil
+		}
+		hasSucc.ClearAll()
+		hasPred.ClearAll()
+		for _, gg := range groups {
+			// Pre(g, cc): states of src(g) whose successor stays in cc;
+			// Post(g, cc): states reached from cc ∩ src(g). Sparse groups
+			// take the per-state scan, like the Pre/Post kernels.
+			if e.sparse(gg) {
+				e.preRef(gg, cc, hasSucc)
+				e.postRef(gg, cc, hasPred)
+				continue
+			}
+			hasSucc.OrShiftMasked(cc, -gg.sdelta, gg.srcSet)
+			hasPred.OrShiftMasked(cc, gg.sdelta, gg.dstSet)
+		}
+		hasSucc.AndInto(hasSucc, hasPred)
+		hasSucc.AndInto(hasSucc, cc)
+		if hasSucc.Equal(cc) {
+			return cc
+		}
+		cc.CopyFrom(hasSucc)
+	}
 }
 
 // tarjanSCCs runs an iterative Tarjan strongly-connected-components search

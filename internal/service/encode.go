@@ -22,7 +22,6 @@ import (
 	"stsyn/internal/gcl"
 	"stsyn/internal/pretty"
 	"stsyn/internal/protocol"
-	"stsyn/internal/symbolic"
 	"stsyn/pkg/stsynapi"
 	"stsyn/pkg/stsynerr"
 )
@@ -59,11 +58,9 @@ func explicitStats(e core.Engine) *ExplicitStats {
 	}
 	ks := ee.KernelStats()
 	return &ExplicitStats{
-		SCCAlgorithm: ee.SCCAlgorithmName(),
-		Workers:      ee.Workers(),
-		PreOps:       ks.PreCalls,
-		PostOps:      ks.PostCalls,
-		GroupTests:   ks.GroupTests,
+		PreOps:     ks.PreCalls,
+		PostOps:    ks.PostCalls,
+		GroupTests: ks.GroupTests,
 	}
 }
 
@@ -75,12 +72,7 @@ func bddStats(e core.Engine) *BDDStats {
 		return nil
 	}
 	st := sr.SpaceStats()
-	workers := 0
-	if se, ok := e.(*symbolic.Engine); ok {
-		workers = se.Workers()
-	}
 	return &BDDStats{
-		Workers:         workers,
 		LiveNodes:       st.LiveNodes,
 		PeakLiveNodes:   st.PeakLiveNodes,
 		AllocatedSlots:  st.AllocatedSlots,
@@ -152,15 +144,12 @@ type Job struct {
 	Resolution  core.CycleResolution
 	Fanout      bool
 	Prune       bool
-	SCC         string // "auto", "tarjan" or "fb" (explicit engine)
-	Workers     int    // engine parallelism (0 = engine default)
 	Key         string // content-addressed cache key
-}
 
-// autoExplicitLimit mirrors the root package's engine auto-selection: state
-// spaces up to 2^20 states use the explicit engine, larger ones (or ones
-// whose size overflows) the symbolic engine.
-const autoExplicitLimit = 1 << 20
+	// Deprecated: SCC is ignored, as each engine has one SCC algorithm.
+	// It stays for one release so existing callers keep compiling.
+	SCC string
+}
 
 // Normalize validates a request against its specification and resolves
 // every defaulted option.
@@ -170,7 +159,7 @@ func Normalize(req *Request, sp *protocol.Spec) (*Job, error) {
 	switch strings.ToLower(req.Engine) {
 	case "", "auto":
 		j.Engine = "symbolic"
-		if n, ok := sp.NumStates(); ok && n <= autoExplicitLimit {
+		if explicit.AutoSelects(sp) {
 			j.Engine = "explicit"
 		}
 	case "explicit":
@@ -188,24 +177,6 @@ func Normalize(req *Request, sp *protocol.Spec) (*Job, error) {
 		j.Convergence = core.Weak
 	default:
 		return nil, fmt.Errorf("unknown convergence %q (want strong or weak)", req.Convergence)
-	}
-
-	switch strings.ToLower(req.SCC) {
-	case "", "auto":
-		j.SCC = "auto"
-	case "tarjan":
-		j.SCC = "tarjan"
-	case "fb", "forward-backward":
-		j.SCC = "fb"
-	default:
-		return nil, fmt.Errorf("unknown scc algorithm %q (want auto, tarjan or fb)", req.SCC)
-	}
-	if req.Workers < 0 {
-		return nil, fmt.Errorf("workers must be non-negative, got %d", req.Workers)
-	}
-	j.Workers = req.Workers
-	if j.Engine != "explicit" && j.SCC != "auto" {
-		return nil, fmt.Errorf("scc is an explicit-engine option (engine resolved to %s)", j.Engine)
 	}
 
 	switch strings.ToLower(req.Resolution) {

@@ -168,53 +168,28 @@ func TestEncodeResult(t *testing.T) {
 	}
 }
 
-// The SCC algorithm and worker bound are explicit-engine options: they must
-// validate, flow into the cache key, and be rejected on the symbolic engine.
+// The retired scc and workers request fields are accepted and ignored:
+// any value, on either engine, normalizes to the job and cache key of the
+// request without them.
 func TestNormalizeSCCAndWorkers(t *testing.T) {
 	sp := protocols.TokenRing(4, 3)
-
-	j, err := Normalize(&Request{Protocol: "tokenring", SCC: "fb", Workers: 2}, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.SCC != "fb" || j.Workers != 2 {
-		t.Errorf("normalized scc=%q workers=%d, want fb/2", j.SCC, j.Workers)
-	}
-	base, err := Normalize(&Request{Protocol: "tokenring"}, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.SCC != "auto" {
-		t.Errorf("default scc = %q, want auto", base.SCC)
-	}
-	if j.Key == base.Key {
-		t.Error("scc/workers did not change the cache key")
-	}
-
-	for _, req := range []*Request{
-		{Protocol: "tokenring", SCC: "kosaraju"},
-		{Protocol: "tokenring", Workers: -1},
-		{Protocol: "tokenring", Engine: "symbolic", SCC: "fb"},
-	} {
-		if _, err := Normalize(req, sp); err == nil {
-			t.Errorf("Normalize(%+v) succeeded, want error", req)
+	for _, engine := range []string{"explicit", "symbolic"} {
+		base, err := Normalize(&Request{Protocol: "tokenring", Engine: engine}, sp)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Workers is engine-generic: a symbolic job accepts it, it reaches the
-	// normalized job, and it stays part of the cache key.
-	symJ, err := Normalize(&Request{Protocol: "tokenring", Engine: "symbolic", Workers: 2}, sp)
-	if err != nil {
-		t.Fatalf("symbolic workers rejected: %v", err)
-	}
-	if symJ.Workers != 2 {
-		t.Errorf("symbolic workers = %d, want 2", symJ.Workers)
-	}
-	symBase, err := Normalize(&Request{Protocol: "tokenring", Engine: "symbolic"}, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if symJ.Key == symBase.Key {
-		t.Error("symbolic workers did not change the cache key")
+		for _, req := range []*Request{
+			{Protocol: "tokenring", Engine: engine, SCC: "fb", Workers: 2},
+			{Protocol: "tokenring", Engine: engine, SCC: "kosaraju"},
+			{Protocol: "tokenring", Engine: engine, Workers: -1},
+		} {
+			j, err := Normalize(req, sp)
+			if err != nil {
+				t.Fatalf("Normalize(%+v): %v", req, err)
+			}
+			if j.Key != base.Key {
+				t.Errorf("Normalize(%+v): scc/workers changed the cache key", req)
+			}
+		}
 	}
 }

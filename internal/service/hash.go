@@ -22,8 +22,8 @@ import (
 func CanonicalKey(j *Job) string {
 	h := sha256.New()
 	protocol.WriteCanonicalSpec(h, j.Spec)
-	fmt.Fprintf(h, "engine=%s\nconvergence=%s\nresolution=%d\nfanout=%v\nscc=%s\nworkers=%d\nprune=%v\n",
-		j.Engine, j.Convergence, j.Resolution, j.Fanout, j.SCC, j.Workers, j.Prune)
+	fmt.Fprintf(h, "engine=%s\nconvergence=%s\nresolution=%d\nfanout=%v\nprune=%v\n",
+		j.Engine, j.Convergence, j.Resolution, j.Fanout, j.Prune)
 	if !j.Fanout {
 		fmt.Fprintf(h, "schedule=%v\n", j.Schedule)
 	}

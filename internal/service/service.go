@@ -474,26 +474,10 @@ func (s *Server) synthesize(ctx context.Context, norm *Job) (*Response, error) {
 	return resp, nil
 }
 
-// newEngine builds the job's engine and applies its engine-level knobs.
+// newEngine builds the job's engine.
 func newEngine(norm *Job) (core.Engine, error) {
 	if norm.Engine == "explicit" {
-		e, err := explicit.New(norm.Spec, 0)
-		if err != nil {
-			return nil, err
-		}
-		switch norm.SCC {
-		case "fb":
-			e.SetSCCAlgorithm(explicit.ForwardBackward)
-		case "tarjan":
-			e.SetSCCAlgorithm(explicit.Tarjan)
-		}
-		e.SetParallelism(norm.Workers)
-		return e, nil
+		return explicit.New(norm.Spec, 0)
 	}
-	e, err := symbolic.New(norm.Spec)
-	if err != nil {
-		return nil, err
-	}
-	e.SetParallelism(norm.Workers)
-	return e, nil
+	return symbolic.New(norm.Spec)
 }

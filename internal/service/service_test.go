@@ -418,37 +418,21 @@ func TestShutdownRefusesNewJobs(t *testing.T) {
 	}
 }
 
-// A job with the forward-backward SCC search selected must synthesize the
-// same verified protocol, expose the explicit-engine kernel stats in the
-// response, and fold them into the service counters.
+// An explicit-engine job must expose the kernel stats in the response and
+// fold them into the service counters.
 func TestExplicitKernelOptionsEndToEnd(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 1})
 
 	status, data := postSynthesize(t, ts, `{"protocol":"tokenring","k":4,"dom":3}`)
 	if status != http.StatusOK {
-		t.Fatalf("tarjan status = %d, body %s", status, data)
+		t.Fatalf("status = %d, body %s", status, data)
 	}
-	tarjan := decodeResponse(t, data)
-
-	status, data = postSynthesize(t, ts, `{"protocol":"tokenring","k":4,"dom":3,"scc":"fb","workers":2}`)
-	if status != http.StatusOK {
-		t.Fatalf("fb status = %d, body %s", status, data)
-	}
-	fb := decodeResponse(t, data)
-	if fb.Cached {
-		t.Fatal("fb job hit the tarjan cache entry: scc missing from the key")
-	}
-	if fb.Explicit == nil {
+	resp := decodeResponse(t, data)
+	if resp.Explicit == nil {
 		t.Fatal("explicit stats missing from the response")
 	}
-	if fb.Explicit.SCCAlgorithm != "fb" || fb.Explicit.Workers != 2 {
-		t.Errorf("explicit stats = %+v, want scc=fb workers=2", fb.Explicit)
-	}
-	if fb.Explicit.PreOps == 0 && fb.Explicit.PostOps == 0 && fb.Explicit.GroupTests == 0 {
+	if resp.Explicit.PreOps == 0 && resp.Explicit.PostOps == 0 && resp.Explicit.GroupTests == 0 {
 		t.Error("kernel counters all zero after a synthesis run")
-	}
-	if fb.ProgramSize != tarjan.ProgramSize || fb.AddedGroups != tarjan.AddedGroups {
-		t.Error("fb and tarjan synthesized different protocols")
 	}
 
 	if got := svc.Metrics().ExplicitGroupTests.Load(); got == 0 {
@@ -459,10 +443,39 @@ func TestExplicitKernelOptionsEndToEnd(t *testing.T) {
 	if !strings.Contains(buf.String(), "stsyn_explicit_pre_ops_total") {
 		t.Error("explicit kernel counters missing from /metrics exposition")
 	}
+}
 
-	status, data = postSynthesize(t, ts, `{"protocol":"tokenring","engine":"symbolic","scc":"fb"}`)
-	if status != http.StatusUnprocessableEntity {
-		t.Errorf("symbolic+fb status = %d, want 422 (body %s)", status, data)
+// The retired scc and workers fields are accepted and ignored for one
+// release: a request carrying them and the same request without them both
+// succeed with byte-identical actions, and the second is served from the
+// cache entry the first filled.
+func TestDeprecatedOptionsAcceptedAndIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+
+	status, data := postSynthesize(t, ts, `{"protocol":"tokenring","k":4,"dom":3,"scc":"fb","workers":3}`)
+	if status != http.StatusOK {
+		t.Fatalf("with retired fields: status = %d, body %s", status, data)
+	}
+	with := decodeResponse(t, data)
+
+	status, data = postSynthesize(t, ts, `{"protocol":"tokenring","k":4,"dom":3}`)
+	if status != http.StatusOK {
+		t.Fatalf("without retired fields: status = %d, body %s", status, data)
+	}
+	without := decodeResponse(t, data)
+	if !without.Cached {
+		t.Error("request without scc/workers missed the cache entry of the one with them")
+	}
+	a, err := json.Marshal(with.Actions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(without.Actions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("actions differ:\n%s\n%s", a, b)
 	}
 }
 
@@ -549,7 +562,7 @@ func TestSymbolicPruneMemoEndToEnd(t *testing.T) {
 	}
 
 	status, data = postSynthesize(t, ts,
-		`{"protocol":"coloring","k":4,"fanout":true,"engine":"symbolic","prune":true,"workers":2}`)
+		`{"protocol":"coloring","k":4,"fanout":true,"engine":"symbolic","prune":true}`)
 	if status != http.StatusOK {
 		t.Fatalf("pruned symbolic status = %d, body %s", status, data)
 	}
@@ -568,9 +581,6 @@ func TestSymbolicPruneMemoEndToEnd(t *testing.T) {
 	}
 	if pruned.BDD == nil {
 		t.Fatal("symbolic response has no bdd stats")
-	}
-	if pruned.BDD.Workers != 2 {
-		t.Errorf("bdd stats workers = %d, want 2", pruned.BDD.Workers)
 	}
 	if !reflect.DeepEqual(plain.Actions, pruned.Actions) {
 		t.Error("pruned symbolic synthesis produced a different protocol")

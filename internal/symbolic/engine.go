@@ -63,20 +63,9 @@ type Engine struct {
 
 	nextBits float64 // number of next-state bit levels (for state counting)
 
-	sccAlg    SCCAlgorithm
 	compactAt int  // node threshold for Compact (0 = default)
-	fused     bool // use the fused AndExists image instead of the two-step default
 	refFix    bool // use the full-recompute fixpoint oracle (no dropping/frontier)
 	refRanks  bool // persistent-manager ranking/recovery images + whole-set rank BFS (oracle)
-	workers   int  // scratch-manager fan-out for SCC enumeration (0/1 = sequential)
-	reorder   bool // sift the scratch-manager variable order at SCC safe points
-	grain     int  // spawn threshold override (0 = spawnGrain default)
-
-	// reorderMap/reorderInv cache the sifted scratch order translation
-	// (persistent level ↔ scratch level), computed lazily from the
-	// per-process read supports.
-	reorderMap []int
-	reorderInv []int
 
 	ctx context.Context // current synthesis context (nil = no cancellation)
 
@@ -91,56 +80,6 @@ func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 // canceled reports whether the current synthesis context is cancelled.
 func (e *Engine) canceled() bool { return e.ctx != nil && e.ctx.Err() != nil }
 
-// SCCAlgorithm selects the symbolic SCC-enumeration algorithm.
-type SCCAlgorithm int
-
-const (
-	// Skeleton is the Gentilini-Piazza-Policriti algorithm the paper cites
-	// (forward sets with spine-set skeletons); the default.
-	Skeleton SCCAlgorithm = iota
-	// Lockstep is the Bloem-Gabow-Somenzi algorithm (simultaneous forward
-	// and backward growth from a seed, stopping at the first to converge).
-	Lockstep
-)
-
-// SetSCCAlgorithm selects the SCC enumeration algorithm (default Skeleton).
-func (e *Engine) SetSCCAlgorithm(a SCCAlgorithm) { e.sccAlg = a }
-
-// SetFusedImage toggles the fused relational-product image (AndExists):
-// the X ∧ src conjunction is quantified inside a single traversal instead
-// of being materialized first. Off by default — for this engine's narrow
-// per-group images the two-step path measures faster, because its And and
-// Exists intermediates hit the shared operation caches across groups and
-// fixpoint iterations while each fused call keys a private AndExists
-// entry. Synthesis results are identical either way; the knob exists so
-// differential tests can pin that, and for workloads with wide relations
-// where fusion's avoided intermediate does pay.
-func (e *Engine) SetFusedImage(fused bool) { e.fused = fused }
-
-// SetParallelism farms the per-SCC skeleton fixpoints of CyclicSCCs
-// across n workers, each with its own scratch manager (0 and 1 mean
-// sequential — the oracle the parallel path is tested against). The
-// lockstep algorithm is always sequential. Decomposition is structural,
-// so synthesized protocols are byte-identical for every worker count.
-func (e *Engine) SetParallelism(n int) { e.workers = n }
-
-// Workers reports the configured SCC parallelism.
-func (e *Engine) Workers() int { return e.workers }
-
-// SetSpawnGrain overrides the minimum subproblem size (DagSize of its
-// state set) at which the parallel decomposition hands work to another
-// scratch manager. Zero restores the default; tests lower it to force
-// spawning on small instances.
-func (e *Engine) SetSpawnGrain(n int) { e.grain = n }
-
-// spawnThreshold is the effective grain for parallel spawn decisions.
-func (e *Engine) spawnThreshold() int {
-	if e.grain > 0 {
-		return e.grain
-	}
-	return spawnGrain
-}
-
 // SetReferenceFixpoints restores the pre-tuning scheme of cycle
 // detection: full-image recomputation in the trim loops (no dead-group
 // dropping), whole-set preimages in the skeleton's SCC grow loop (no
@@ -150,13 +89,6 @@ func (e *Engine) spawnThreshold() int {
 // that — and exists as the benchmark baseline and oracle, exactly like
 // the explicit engine's SetReferenceKernels.
 func (e *Engine) SetReferenceFixpoints(on bool) { e.refFix = on }
-
-// SetDynamicReorder enables sifting-style reordering of the scratch
-// variable order at the CyclicSCCs safe points: cycle detection runs under
-// an order chosen to minimize the spread of each group's read support, and
-// results are translated back to the persistent order. The persistent
-// manager is never reordered — Ref stability for retained sets forbids it.
-func (e *Engine) SetDynamicReorder(on bool) { e.reorder = on }
 
 var _ core.Engine = (*Engine)(nil)
 var _ core.ContextAware = (*Engine)(nil)
@@ -243,18 +175,7 @@ func (e *Engine) preGroup(g *group, x bdd.Ref) bdd.Ref {
 }
 
 // postGroup returns the successors of the sources of g inside X.
-// SetFusedImage(true) fuses the conjunction with the quantification
-// (AndExists) so the X ∧ src intermediate is never materialized; the
-// default two-step path measures faster here because its intermediates
-// share the And/Exists caches (see SetFusedImage).
 func (e *Engine) postGroup(g *group, x bdd.Ref) bdd.Ref {
-	if e.fused {
-		up := e.m.AndExists(x, g.src, g.writeVars)
-		if up == bdd.False {
-			return bdd.False
-		}
-		return e.m.And(up, g.writeCube)
-	}
 	srcs := e.m.And(x, g.src)
 	if srcs == bdd.False {
 		return bdd.False

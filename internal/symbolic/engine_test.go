@@ -230,78 +230,6 @@ func TestSynthesisAgrees(t *testing.T) {
 	}
 }
 
-// TestLockstepAgreesWithSkeleton checks the two symbolic SCC enumeration
-// algorithms find identical components, and that synthesis is unaffected by
-// the choice.
-func TestLockstepAgreesWithSkeleton(t *testing.T) {
-	for _, sp := range []*protocol.Spec{
-		protocols.GoudaAcharyaMatching(4),
-		protocols.GoudaAcharyaMatching(5),
-		protocols.DijkstraTokenRing(4, 3),
-	} {
-		skel, err := symbolic.New(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lock, err := symbolic.New(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lock.SetSCCAlgorithm(symbolic.Lockstep)
-
-		a := skel.CyclicSCCs(skel.ActionGroups(), skel.Not(skel.Invariant()))
-		b := lock.CyclicSCCs(lock.ActionGroups(), lock.Not(lock.Invariant()))
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d vs %d SCCs", sp.Name, len(a), len(b))
-		}
-		// Each skeleton SCC must appear among the lockstep SCCs.
-		for _, x := range a {
-			st, _ := skel.PickState(x)
-			found := false
-			for _, y := range b {
-				if lock.States(y) == skel.States(x) &&
-					!lock.IsEmpty(lock.And(y, lock.Singleton(st))) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("%s: SCC mismatch between algorithms", sp.Name)
-			}
-		}
-	}
-	// Synthesis end-to-end under lockstep must match skeleton.
-	sSkel, err := symbolic.New(protocols.Matching(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sLock, err := symbolic.New(protocols.Matching(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sLock.SetSCCAlgorithm(symbolic.Lockstep)
-	r1, err1 := core.AddConvergence(sSkel, core.Options{})
-	r2, err2 := core.AddConvergence(sLock, core.Options{})
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errors: %v / %v", err1, err2)
-	}
-	k1 := make(map[protocol.Key]bool)
-	for _, g := range r1.Protocol {
-		k1[g.ProtocolGroup().Key()] = true
-	}
-	if len(k1) != len(r2.Protocol) {
-		t.Fatalf("group counts differ: %d vs %d", len(k1), len(r2.Protocol))
-	}
-	for _, g := range r2.Protocol {
-		if !k1[g.ProtocolGroup().Key()] {
-			t.Fatal("synthesis differs between SCC algorithms")
-		}
-	}
-	if v := verify.StronglyStabilizing(sLock, r2.Protocol); !v.OK {
-		t.Fatalf("lockstep result not stabilizing: %s", v.Reason)
-	}
-}
-
 // TestSymbolicScalesBeyondExplicitTests runs a coloring instance large
 // enough to be annoying for the explicit engine in unit-test time.
 func TestSymbolicScalesColoring(t *testing.T) {

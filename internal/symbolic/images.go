@@ -59,11 +59,7 @@ func orTree(m *bdd.Manager, terms []bdd.Ref) bdd.Ref {
 // of once per operation.
 func (e *Engine) imgCtx() *sccCtx {
 	s := e.ensureScratch()
-	c := &sccCtx{e: e, m: s.m, memo: s.memo}
-	if e.reorder {
-		c.lmap, _ = e.scratchOrderMaps()
-	}
-	return c
+	return &sccCtx{e: e, m: s.m, memo: s.memo}
 }
 
 // scratchPre is Pre on the scratch manager: per-group terms q_i = src_i ∧

@@ -1,9 +1,7 @@
 package symbolic_test
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"stsyn/internal/core"
 	"stsyn/internal/protocol"
@@ -54,44 +52,22 @@ func synthesize(t *testing.T, sp *protocol.Spec, cfg func(*symbolic.Engine)) (ma
 	return protoKeys(res.Protocol), nil
 }
 
-// TestKnobMatrixSynthesisIdentical is the PR's headline differential
-// contract: the fused image, the reference fixpoint scheme, the sifted
-// scratch order, and every worker count are pure performance knobs — the
-// synthesized protocol must be byte-identical to the reference sequential
-// oracle under all of them, and failures must fail with the same error
-// class.
+// TestKnobMatrixSynthesisIdentical pins the tuned default against the
+// reference schemes it replaced: the full-recompute fixpoints and the
+// persistent-manager ranking images must synthesize the byte-identical
+// protocol, and failures must fail with the same error.
 func TestKnobMatrixSynthesisIdentical(t *testing.T) {
 	configs := []struct {
 		name string
 		cfg  func(*symbolic.Engine)
 	}{
-		{"oracle-reference-seq", func(e *symbolic.Engine) { e.SetReferenceFixpoints(true) }},
+		{"oracle-reference", func(e *symbolic.Engine) {
+			e.SetReferenceFixpoints(true)
+			e.SetReferenceRanks(true)
+		}},
 		{"default", nil},
-		{"fused", func(e *symbolic.Engine) { e.SetFusedImage(true) }},
-		{"reference-fused", func(e *symbolic.Engine) {
-			e.SetReferenceFixpoints(true)
-			e.SetFusedImage(true)
-		}},
-		{"reorder", func(e *symbolic.Engine) { e.SetDynamicReorder(true) }},
-		{"reference-reorder", func(e *symbolic.Engine) {
-			e.SetReferenceFixpoints(true)
-			e.SetDynamicReorder(true)
-		}},
-		{"workers3", func(e *symbolic.Engine) {
-			e.SetParallelism(3)
-			e.SetSpawnGrain(8) // force real hand-offs on unit-test instances
-		}},
-		{"fused-workers2", func(e *symbolic.Engine) {
-			e.SetFusedImage(true)
-			e.SetParallelism(2)
-			e.SetSpawnGrain(8)
-		}},
-		{"everything", func(e *symbolic.Engine) {
-			e.SetFusedImage(true)
-			e.SetDynamicReorder(true)
-			e.SetParallelism(4)
-			e.SetSpawnGrain(8)
-		}},
+		{"reference-fixpoints", func(e *symbolic.Engine) { e.SetReferenceFixpoints(true) }},
+		{"reference-ranks", func(e *symbolic.Engine) { e.SetReferenceRanks(true) }},
 	}
 	for _, sp := range []*protocol.Spec{
 		protocols.TokenRing(4, 3),
@@ -107,114 +83,9 @@ func TestKnobMatrixSynthesisIdentical(t *testing.T) {
 				t.Fatalf("%s/%s: error %v, oracle %v", sp.Name, c.name, err, wantErr)
 			}
 			if err == nil && !sameKeySets(got, want) {
-				t.Fatalf("%s/%s: protocol differs from the reference sequential oracle", sp.Name, c.name)
+				t.Fatalf("%s/%s: protocol differs from the reference oracle", sp.Name, c.name)
 			}
 		}
-	}
-}
-
-// TestParallelSCCsMatchSequential compares the components themselves, not
-// just the downstream protocol: the same SCCs in the same deterministic
-// order for every worker count.
-func TestParallelSCCsMatchSequential(t *testing.T) {
-	for _, sp := range []*protocol.Spec{
-		protocols.GoudaAcharyaMatching(4),
-		protocols.GoudaAcharyaMatching(5),
-	} {
-		seq, err := symbolic.New(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := seq.CyclicSCCs(seq.ActionGroups(), seq.Not(seq.Invariant()))
-		for _, workers := range []int{2, 4} {
-			par, err := symbolic.New(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par.SetParallelism(workers)
-			par.SetSpawnGrain(4)
-			got := par.CyclicSCCs(par.ActionGroups(), par.Not(par.Invariant()))
-			if len(got) != len(ref) {
-				t.Fatalf("%s workers=%d: %d SCCs, sequential found %d", sp.Name, workers, len(got), len(ref))
-			}
-			for _, s := range got {
-				st, _ := par.PickState(s)
-				found := false
-				for _, r := range ref {
-					if seq.States(r) == par.States(s) && !seq.IsEmpty(seq.And(r, seq.Singleton(st))) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("%s workers=%d: parallel SCC missing from sequential enumeration", sp.Name, workers)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelSynthesisStress is the -race battery for the worker pool: it
-// repeatedly synthesizes under aggressive spawning with several worker
-// counts, inside a watchdog so a stuck pool fails the test instead of
-// hanging CI.
-func TestParallelSynthesisStress(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping parallel stress battery in -short mode")
-	}
-	specs := []*protocol.Spec{
-		protocols.Matching(6),             // succeeds
-		protocols.DijkstraTokenRing(4, 3), // cycles inside I
-		protocols.GoudaAcharyaMatching(5), // fails deterministically
-	}
-	type oracle struct {
-		keys map[protocol.Key]bool
-		err  error
-	}
-	oracles := make([]oracle, len(specs))
-	for i, sp := range specs {
-		keys, err := synthesize(t, sp, nil)
-		oracles[i] = oracle{keys: keys, err: err}
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- func() error {
-			for iter := 0; iter < 2; iter++ {
-				for _, workers := range []int{2, 4, 8} {
-					for i, sp := range specs {
-						e, err := symbolic.New(sp)
-						if err != nil {
-							return err
-						}
-						e.SetParallelism(workers)
-						e.SetSpawnGrain(2) // maximal hand-off pressure
-						res, err := core.AddConvergence(e, core.Options{})
-						want := oracles[i]
-						if (err == nil) != (want.err == nil) || (err != nil && err.Error() != want.err.Error()) {
-							return fmt.Errorf("%s workers=%d: error %v, oracle %v", sp.Name, workers, err, want.err)
-						}
-						if err != nil {
-							continue
-						}
-						if !sameKeySets(protoKeys(res.Protocol), want.keys) {
-							return fmt.Errorf("%s workers=%d: protocol differs from sequential oracle", sp.Name, workers)
-						}
-						if v := verify.StronglyStabilizing(e, res.Protocol); !v.OK {
-							return fmt.Errorf("%s workers=%d: not stabilizing: %s", sp.Name, workers, v.Reason)
-						}
-					}
-				}
-			}
-			return nil
-		}()
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Minute):
-		t.Fatal("parallel synthesis wedged: worker pool deadlock or runaway fixpoint")
 	}
 }
 
@@ -252,7 +123,6 @@ func TestReorderEquivalenceDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.SetDynamicReorder(true) // sift on top of the hostile base order
 			res, err := core.AddConvergence(e, core.Options{})
 			if (err == nil) != (wantErr == nil) {
 				t.Fatalf("%s order %d: error %v, oracle %v", sp.Name, oi, err, wantErr)

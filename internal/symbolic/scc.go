@@ -13,10 +13,9 @@ import (
 // reclamation trivial — a scratch manager is dropped wholesale, the
 // coarsest possible collection. By default the engine retains one scratch
 // manager across calls (scratchMgr: warm operation cache, copy memo) and
-// drops it at a small live-node watermark; reference mode and parallel
-// clones use a private throwaway manager per call/task instead. Inputs
-// are migrated in and the (small) resulting SCC predicates are migrated
-// back. The main manager's mark-and-sweep collector complements this: it
+// drops it at a small live-node watermark; reference mode uses a private
+// throwaway manager per call instead. Inputs are migrated in and the
+// (small) resulting SCC predicates are migrated back. The main manager's mark-and-sweep collector complements this: it
 // reclaims garbage that accumulates on the persistent store across calls,
 // and CyclicSCCs' entry is one of its safe points.
 type sccCtx struct {
@@ -25,9 +24,8 @@ type sccCtx struct {
 	src       []bdd.Ref           // per group: source states
 	wcube     []bdd.Ref           // per group: written-values literal cube
 	wvars     []bdd.Ref           // per group: positive cube of written bit levels
-	lmap      []int               // persistent level → scratch level (nil = same order)
 	memo      map[bdd.Ref]bdd.Ref // persistent → scratch copy memo for this call
-	throwaway bool                // manager is private to this call (reference mode, clones)
+	throwaway bool                // manager is private to this call (reference mode)
 	qbuf      []bdd.Ref           // reused term buffer for balanced union trees
 	pbuf      []bdd.Ref           // second term buffer (trim's image direction)
 }
@@ -42,11 +40,10 @@ type sccCtx struct {
 // snapshots the counters already folded into the engine's scratch
 // totals so reuse never double-counts.
 type scratchMgr struct {
-	m       *bdd.Manager
-	memo    map[bdd.Ref]bdd.Ref // persistent Ref → scratch Ref
-	prev    bdd.Stats           // counters folded so far
-	gcRuns  int                 // persistent GCRuns the memo is valid for
-	reorder bool                // order the memo entries were translated under
+	m      *bdd.Manager
+	memo   map[bdd.Ref]bdd.Ref // persistent Ref → scratch Ref
+	prev   bdd.Stats           // counters folded so far
+	gcRuns int                 // persistent GCRuns the memo is valid for
 }
 
 // scratchRebuildNodes bounds the retained scratch store: past this many
@@ -54,15 +51,14 @@ type scratchMgr struct {
 const scratchRebuildNodes = 1 << 16
 
 // ensureScratch returns the retained scratch manager, rebuilding it when
-// the store outgrew the watermark or the reorder knob flipped. A
-// persistent-manager collection is cheaper to survive: scratch nodes are
-// unaffected — only the memo's keys (persistent refs whose slots may now
-// be reused) go stale — so the memo alone is flushed and the warm
-// operation cache lives on.
+// the store outgrew the watermark. A persistent-manager collection is
+// cheaper to survive: scratch nodes are unaffected — only the memo's keys
+// (persistent refs whose slots may now be reused) go stale — so the memo
+// alone is flushed and the warm operation cache lives on.
 func (e *Engine) ensureScratch() *scratchMgr {
 	gc := e.m.Stats().GCRuns
 	if s := e.sccScratch; s != nil {
-		if s.reorder != e.reorder || s.m.Stats().LiveNodes > scratchRebuildNodes {
+		if s.m.Stats().LiveNodes > scratchRebuildNodes {
 			e.dropScratch()
 		} else if s.gcRuns != gc {
 			s.memo = make(map[bdd.Ref]bdd.Ref)
@@ -71,10 +67,9 @@ func (e *Engine) ensureScratch() *scratchMgr {
 	}
 	if e.sccScratch == nil {
 		e.sccScratch = &scratchMgr{
-			m:       bdd.New(e.m.NumVars()),
-			memo:    make(map[bdd.Ref]bdd.Ref),
-			gcRuns:  gc,
-			reorder: e.reorder,
+			m:      bdd.New(e.m.NumVars()),
+			memo:   make(map[bdd.Ref]bdd.Ref),
+			gcRuns: gc,
 		}
 	}
 	return e.sccScratch
@@ -126,11 +121,7 @@ func (e *Engine) settleScratch(ctx *sccCtx) {
 // path reuses the engine's retained scratch manager, whose memo makes
 // migrating previously seen persistent refs (the group cubes, the
 // recurring `within` set) a map lookup; SetReferenceFixpoints restores a
-// private throwaway manager per call. With dynamic reordering enabled the
-// scratch manager runs under the engine's sifted order — stable per spec,
-// so safe to retain — and all inputs are translated on the way in; lmap
-// records the translation so pickSingleton and the copy-back can follow
-// it.
+// private throwaway manager per call.
 func (e *Engine) newSCCCtx(gs []core.Group) *sccCtx {
 	ctx := &sccCtx{e: e}
 	if e.refFix {
@@ -142,9 +133,6 @@ func (e *Engine) newSCCCtx(gs []core.Group) *sccCtx {
 		ctx.m = s.m
 		ctx.memo = s.memo
 	}
-	if e.reorder {
-		ctx.lmap, _ = e.scratchOrderMaps()
-	}
 	for _, g := range gs {
 		gg := g.(*group)
 		ctx.src = append(ctx.src, ctx.copyIn(gg.src, ctx.memo))
@@ -154,45 +142,14 @@ func (e *Engine) newSCCCtx(gs []core.Group) *sccCtx {
 	return ctx
 }
 
-// copyIn migrates a persistent-manager BDD into the scratch manager,
-// translating levels when the scratch order differs.
+// copyIn migrates a persistent-manager BDD into the scratch manager.
 func (c *sccCtx) copyIn(f bdd.Ref, memo map[bdd.Ref]bdd.Ref) bdd.Ref {
-	if c.lmap == nil {
-		return c.m.CopyFrom(c.e.m, f, memo)
-	}
-	return c.m.CopyPermutedFrom(c.e.m, f, c.lmap, memo)
+	return c.m.CopyFrom(c.e.m, f, memo)
 }
 
-// copyBack migrates a scratch BDD to the persistent manager, undoing the
-// scratch order translation.
+// copyBack migrates a scratch BDD to the persistent manager.
 func (c *sccCtx) copyBack(f bdd.Ref, memo map[bdd.Ref]bdd.Ref) bdd.Ref {
-	if c.lmap == nil {
-		return c.e.m.CopyFrom(c.m, f, memo)
-	}
-	_, inv := c.e.scratchOrderMaps()
-	return c.e.m.CopyPermutedFrom(c.m, f, inv, memo)
-}
-
-// clone builds a task-private copy of the context for a spawned SCC
-// subproblem: a fresh manager under the same (possibly sifted) order with
-// the group cubes migrated over, plus the given extra refs translated into
-// it. Spawned managers start with a small operation cache — most subtasks
-// are brief — and grow adaptively toward the default when hot.
-func (c *sccCtx) clone(extra ...bdd.Ref) (*sccCtx, []bdd.Ref) {
-	m := bdd.New(c.m.NumVars())
-	m.SetCacheSize(4096)
-	cc := &sccCtx{e: c.e, m: m, lmap: c.lmap, throwaway: true}
-	memo := make(map[bdd.Ref]bdd.Ref)
-	for i := range c.src {
-		cc.src = append(cc.src, m.CopyFrom(c.m, c.src[i], memo))
-		cc.wcube = append(cc.wcube, m.CopyFrom(c.m, c.wcube[i], memo))
-		cc.wvars = append(cc.wvars, m.CopyFrom(c.m, c.wvars[i], memo))
-	}
-	out := make([]bdd.Ref, len(extra))
-	for i, f := range extra {
-		out[i] = m.CopyFrom(c.m, f, memo)
-	}
-	return cc, out
+	return c.e.m.CopyFrom(c.m, f, memo)
 }
 
 // CyclicSCCs returns the non-trivial strongly connected components of the
@@ -201,11 +158,10 @@ func (c *sccCtx) clone(extra ...bdd.Ref) (*sccCtx, []bdd.Ref) {
 // It first trims `within` to its cycle core — the greatest set in which
 // every state lies on an infinite forward and backward path (states not in
 // the core cannot lie on any cycle) — and then enumerates the core's SCCs,
-// by default with the skeleton-based symbolic algorithm of Gentilini,
-// Piazza and Policriti which the paper's STSyn implementation uses
-// (SetSCCAlgorithm(Lockstep) switches to Bloem-Gabow-Somenzi lockstep
-// search). Trimming first is essential: without it the enumeration would
-// visit one trivial SCC per acyclic state.
+// with the skeleton-based symbolic algorithm of Gentilini, Piazza and
+// Policriti which the paper's STSyn implementation uses. Trimming first is
+// essential: without it the enumeration would visit one trivial SCC per
+// acyclic state.
 //
 // The call's entry is a collection safe point for the main manager: sets
 // not pinned via Retain (or handed out by the previous CyclicSCCs call,
@@ -247,29 +203,15 @@ func (e *Engine) CyclicSCCs(gs []core.Group, within core.Set) []core.Set {
 	}
 
 	backMemo := make(map[bdd.Ref]bdd.Ref)
-	record := func(back bdd.Ref) {
-		e.sccs = append(e.sccs, e.m.Keep(back))
-		e.stats.SCCCount++
-		e.stats.SCCSizeTotal += e.m.DagSize(back)
-	}
-	emit := func(scc bdd.Ref) {
+	ctx.skeletonEnum(c, func(scc bdd.Ref) {
 		if !ctx.hasInternalTransition(scc) {
 			return
 		}
-		record(ctx.copyBack(scc, backMemo))
-	}
-	switch {
-	case e.sccAlg == Lockstep:
-		ctx.lockstepEnum(c, emit)
-	case e.workers > 1:
-		// Parallel skeleton decomposition across task-private scratch
-		// managers; results arrive in deterministic path order.
-		for _, r := range e.parallelSkeleton(ctx, c) {
-			record(r)
-		}
-	default:
-		ctx.skeletonEnum(c, emit)
-	}
+		back := ctx.copyBack(scc, backMemo)
+		e.sccs = append(e.sccs, e.m.Keep(back))
+		e.stats.SCCCount++
+		e.stats.SCCSizeTotal += e.m.DagSize(back)
+	})
 	out := make([]core.Set, len(e.sccs))
 	for i, s := range e.sccs {
 		out[i] = s
@@ -286,22 +228,7 @@ type skelTask struct{ v, s, n bdd.Ref }
 // bound the number of symbolic steps, correctness needs only single-state
 // seeds).
 func (c *sccCtx) skeletonEnum(v0 bdd.Ref, emit func(bdd.Ref)) {
-	c.skeletonRun(skelTask{v: v0, s: bdd.False, n: bdd.False}, emit, nil)
-}
-
-// skeletonRun drains one skeleton task and its descendants. Before a
-// descendant subproblem is pushed on the local stack it is offered to
-// trySpawn (when non-nil); a true return means another worker owns it now.
-// The offer order and everything the decision can observe are structural,
-// so the decomposition is identical for every worker count.
-func (c *sccCtx) skeletonRun(t0 skelTask, emit func(bdd.Ref), trySpawn func(skelTask) bool) {
-	stack := []skelTask{t0}
-	push := func(t skelTask) {
-		if trySpawn != nil && trySpawn(t) {
-			return
-		}
-		stack = append(stack, t)
-	}
+	stack := []skelTask{{v: v0, s: bdd.False, n: bdd.False}}
 	for len(stack) > 0 {
 		if c.e.canceled() {
 			return
@@ -350,66 +277,14 @@ func (c *sccCtx) skeletonRun(t0 skelTask, emit func(bdd.Ref), trySpawn func(skel
 		} else {
 			s1 = bdd.False
 		}
-		push(skelTask{v: c.m.Diff(t.v, fw), s: s1, n: n1})
+		stack = append(stack, skelTask{v: c.m.Diff(t.v, fw), s: s1, n: n1})
 		// Remainder inside the forward set, spined by the skeleton suffix.
 		s2 = c.m.Diff(s2, scc)
 		n2 = c.m.Diff(n2, scc)
 		if n2 == bdd.False {
 			s2 = bdd.False
 		}
-		push(skelTask{v: c.m.Diff(fw, scc), s: s2, n: n2})
-	}
-}
-
-// lockstepEnum enumerates SCCs with the Bloem-Gabow-Somenzi lockstep
-// algorithm: grow the forward and backward sets of a seed simultaneously;
-// when one converges, finish the other inside it; their intersection is
-// the seed's SCC.
-func (c *sccCtx) lockstepEnum(v0 bdd.Ref, emit func(bdd.Ref)) {
-	stack := []bdd.Ref{v0}
-	for len(stack) > 0 {
-		if c.e.canceled() {
-			return
-		}
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if v == bdd.False {
-			continue
-		}
-		seed := c.pickSingleton(v)
-		f, b := seed, seed
-		ffront, bfront := seed, seed
-		for ffront != bdd.False && bfront != bdd.False {
-			ffront = c.m.Diff(c.m.And(c.post(ffront), v), f)
-			f = c.m.Or(f, ffront)
-			bfront = c.m.Diff(c.m.And(c.pre(bfront), v), b)
-			b = c.m.Or(b, bfront)
-		}
-		var converged bdd.Ref
-		if ffront == bdd.False {
-			// Forward set converged first: finish backward inside it.
-			for {
-				grow := c.m.Diff(c.m.And(c.pre(b), f), b)
-				if grow == bdd.False {
-					break
-				}
-				b = c.m.Or(b, grow)
-			}
-			converged = f
-		} else {
-			for {
-				grow := c.m.Diff(c.m.And(c.post(f), b), f)
-				if grow == bdd.False {
-					break
-				}
-				f = c.m.Or(f, grow)
-			}
-			converged = b
-		}
-		scc := c.m.And(f, b)
-		emit(scc)
-		stack = append(stack, c.m.Diff(converged, scc))
-		stack = append(stack, c.m.Diff(v, converged))
+		stack = append(stack, skelTask{v: c.m.Diff(fw, scc), s: s2, n: n2})
 	}
 }
 
@@ -439,13 +314,6 @@ func (c *sccCtx) pre(x bdd.Ref) bdd.Ref {
 
 // image is post restricted to one group: the successors of x under group i.
 func (c *sccCtx) image(i int, x bdd.Ref) bdd.Ref {
-	if c.e.fused {
-		up := c.m.AndExists(x, c.src[i], c.wvars[i])
-		if up == bdd.False {
-			return bdd.False
-		}
-		return c.m.And(up, c.wcube[i])
-	}
 	srcs := c.m.And(x, c.src[i])
 	if srcs == bdd.False {
 		return bdd.False
@@ -622,9 +490,6 @@ func (c *sccCtx) pickSingleton(f bdd.Ref) bdd.Ref {
 	for id := range c.e.sp.Vars {
 		for b := 0; b < l.bitsOf[id]; b++ {
 			lvl := l.curLevel(id, b)
-			if c.lmap != nil {
-				lvl = c.lmap[lvl]
-			}
 			lits = append(lits, bdd.Literal{Var: lvl, Val: cube[lvl] == 1})
 		}
 	}

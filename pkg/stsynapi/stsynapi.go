@@ -56,15 +56,12 @@ type Request struct {
 	// symmetry group.
 	Prune bool `json:"prune,omitempty"`
 
-	// SCC selects the explicit engine's cycle-detection algorithm: auto
-	// (default: Tarjan below the measured crossover state count, fb above
-	// it), tarjan, or fb (the trim-based parallel forward-backward search).
-	// Requires the explicit engine.
+	// Deprecated: accepted and ignored. Each engine has one SCC
+	// algorithm. The field stays for one release so requests from older
+	// clients, which the server decodes strictly, are not rejected.
 	SCC string `json:"scc,omitempty"`
-	// Workers bounds the engine's parallelism: for the explicit engine the
-	// image/SCC worker pool (0 = GOMAXPROCS), for the symbolic engine the
-	// scratch-manager fan-out of the SCC decomposition (0 = sequential).
-	// Synthesized protocols are identical for every value.
+	// Deprecated: accepted and ignored. Engines pick their own
+	// parallelism. The field stays for one release, like SCC.
 	Workers int `json:"workers,omitempty"`
 
 	// TimeoutMS bounds the job (queue wait included); 0 means the server's
@@ -144,7 +141,6 @@ type Response struct {
 // statistics (core.SpaceStats): node-store occupancy, operation-cache
 // behavior and garbage-collection work for one synthesis run.
 type BDDStats struct {
-	Workers         int     `json:"workers"`
 	LiveNodes       int     `json:"live_nodes"`
 	PeakLiveNodes   int     `json:"peak_live_nodes"`
 	AllocatedSlots  int     `json:"allocated_slots"`
@@ -158,15 +154,12 @@ type BDDStats struct {
 	GCReclaimed     uint64  `json:"gc_reclaimed"`
 }
 
-// ExplicitStats is the JSON rendering of the explicit engine's kernel
-// configuration (SCC algorithm, worker bound) and image-kernel activity
-// counters (explicit.KernelStats) for one synthesis run.
+// ExplicitStats is the JSON rendering of the explicit engine's image-kernel
+// activity counters (explicit.KernelStats) for one synthesis run.
 type ExplicitStats struct {
-	SCCAlgorithm string `json:"scc_algorithm"`
-	Workers      int    `json:"workers"`
-	PreOps       uint64 `json:"pre_ops"`
-	PostOps      uint64 `json:"post_ops"`
-	GroupTests   uint64 `json:"group_tests"`
+	PreOps     uint64 `json:"pre_ops"`
+	PostOps    uint64 `json:"post_ops"`
+	GroupTests uint64 `json:"group_tests"`
 }
 
 // PruneStats is the JSON rendering of one job's symmetry-pruning activity:

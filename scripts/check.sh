@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Repo-wide hygiene gate: formatting, vet, the full test suite under the
-# race detector, short fuzz smokes for the differential batteries, and a
-# coverage floor on the BDD substrate. Run from the repository root.
+# race detector, the benchmark harness module, short fuzz smokes for the
+# differential batteries, and a coverage floor on the BDD substrate. Run
+# from the repository root.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -23,6 +24,11 @@ go vet ./...
 go run ./cmd/stsyn-vet ./...
 
 go test -race -count=1 ./...
+
+# The benchmark harness is a Go module of its own (perfbench/go.mod), so
+# the root ./... pattern never compiles it. Vet and test it here, so an API
+# change it depends on fails this gate rather than the next benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
 
 # Fuzz smokes: a few seconds of coverage-guided exploration on the
 # cross-checking fuzz targets, so regressions in the generators or the

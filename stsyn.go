@@ -84,14 +84,10 @@ func NewSymbolicEngine(sp *Spec) (Engine, error) {
 	return symbolic.New(sp)
 }
 
-// autoExplicitLimit is the state-space size up to which NewEngine prefers
-// the explicit engine.
-const autoExplicitLimit = 1 << 20
-
-// NewEngine picks an engine automatically: explicit for small state spaces,
-// symbolic beyond.
+// NewEngine picks an engine automatically: explicit for state spaces up to
+// 2^20 states, symbolic beyond (explicit.AutoSelects).
 func NewEngine(sp *Spec) (Engine, error) {
-	if n, ok := sp.NumStates(); ok && n <= autoExplicitLimit {
+	if explicit.AutoSelects(sp) {
 		return explicit.New(sp, 0)
 	}
 	return symbolic.New(sp)

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"stsyn"
+	"stsyn/internal/explicit"
+	"stsyn/internal/service"
 )
 
 func TestSynthesizeTokenRing(t *testing.T) {
@@ -89,6 +91,46 @@ func TestEngineSelection(t *testing.T) {
 	}
 	if got := big.States(big.Universe()); got < 2e14 {
 		t.Errorf("coloring-30 universe = %g, want 3^30", got)
+	}
+}
+
+// TestEngineAutoRuleAgrees pins that the library's NewEngine and the
+// service's Normalize resolve engine "auto" the same way on both sides of
+// the 2^20-state boundary.
+func TestEngineAutoRuleAgrees(t *testing.T) {
+	// 17 × 61681 = 2^20 + 1: the smallest state space above the boundary.
+	above := &stsyn.Spec{
+		Name:      "above-auto-limit",
+		Vars:      []stsyn.Var{{Name: "a", Dom: 17}, {Name: "b", Dom: 61681}},
+		Procs:     []stsyn.Process{{Name: "P", Reads: []int{0}, Writes: []int{0}}},
+		Invariant: stsyn.Eq{A: stsyn.V{ID: 0}, B: stsyn.C{Val: 0}},
+	}
+	for _, tc := range []struct {
+		sp     *stsyn.Spec
+		states uint64
+		want   string
+	}{
+		{stsyn.TokenRing(10, 4), 1 << 20, "explicit"},
+		{above, 1<<20 + 1, "symbolic"},
+	} {
+		if n, ok := tc.sp.NumStates(); !ok || n != tc.states {
+			t.Fatalf("%s: %d states, want %d", tc.sp.Name, n, tc.states)
+		}
+		e, err := stsyn.NewEngine(tc.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib := "symbolic"
+		if _, ok := e.(*explicit.Engine); ok {
+			lib = "explicit"
+		}
+		j, err := service.Normalize(&service.Request{}, tc.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lib != tc.want || j.Engine != tc.want {
+			t.Errorf("%s: NewEngine picked %s, Normalize %s; want %s", tc.sp.Name, lib, j.Engine, tc.want)
+		}
 	}
 }
 
