@@ -66,6 +66,11 @@ type Engine struct {
 
 	workers int // image parallelism (0 = GOMAXPROCS)
 
+	// masks pools the source and destination masks of trimCore's delta
+	// clusters (two per cluster), reused across calls so the trim
+	// allocates no masks in steady state.
+	masks []*Bitset
+
 	// refKernels switches the image operations back to the per-state
 	// reference scans the word-level kernels replaced. The scans are kept
 	// as the oracle for the kernel-equivalence tests and as the "before"
@@ -281,8 +286,10 @@ func (e *Engine) sources(g *group) *Bitset {
 // a word operation, so the scan wins when |src| is below ~0.4 words; the
 // threshold of a third keeps a safety margin. Groups read most variables on
 // protocols with rich localities (e.g. the two-ring), making their source
-// sets tiny relative to the universe — exactly the case where a uniform
-// word-level kernel would regress.
+// sets tiny relative to the universe, where a word pass per group would
+// regress. The SCC trim needs no such choice: it pays one word pass per
+// delta cluster and round, shared by all the groups of that delta (see
+// deltaClusters).
 func (e *Engine) sparse(g *group) bool {
 	e.sources(g)
 	return g.srcCount*3 < uint64(len(g.srcSet.words))

@@ -188,6 +188,7 @@ func TestKernelEquivalenceBuiltins(t *testing.T) {
 		{"matching-5", protocols.Matching(5)},
 		{"coloring-5", protocols.Coloring(5)},
 		{"two-ring", protocols.TwoRingTokenRing()},
+		{"mixed-delta", mixedDeltaSpec()},
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkKernelEquivalence(t, tc.sp, 11) })
 	}

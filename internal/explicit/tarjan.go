@@ -22,26 +22,58 @@ func (e *Engine) CyclicSCCs(gs []core.Group, within core.Set) []core.Set {
 	if e.refKernels {
 		return e.tarjanSCCs(gs, w)
 	}
-	groups := e.materialGroups(gs)
-	cc := e.trimCore(groups, w)
+	cc := e.trimCore(gs, w)
 	if cc == nil || cc.IsEmpty() {
 		return nil
 	}
 	return e.tarjanSCCs(gs, cc)
 }
 
-// materialGroups converts gs to engine groups with their source and
-// destination caches materialized up front, as trimCore's kernels read
-// srcSet and dstSet directly.
-func (e *Engine) materialGroups(gs []core.Group) []*group {
-	groups := make([]*group, 0, len(gs))
+// deltaCluster is the union of the groups of one CyclicSCCs call that share
+// the index delta Δ. Every group is the translation {(s, s+Δ)}, so the
+// groups' Pre and Post images over a common Δ are one masked shift each:
+//
+//	Pre(C, X)  = shift(X, −Δ) ∩ src(C)
+//	Post(C, X) = shift(X, Δ) ∩ dst(C),   dst(C) = shift(src(C), Δ)
+//
+// with src(C) the union of the member groups' source sets. Protocols
+// carry far fewer distinct deltas than groups (two-ring: 74 for its 7 488
+// action and candidate groups), so a trim round costs one word pass per
+// delta and direction instead of one per group.
+type deltaCluster struct {
+	sdelta   int64
+	src, dst *Bitset
+}
+
+// deltaClusters partitions gs by index delta and builds each cluster's
+// source and destination masks. The masks are taken from a buffer the
+// engine owns and reuses across calls, so a trim allocates no per-call
+// masks.
+func (e *Engine) deltaClusters(gs []core.Group) []deltaCluster {
+	var cs []deltaCluster
+	byDelta := make(map[int64]int)
 	for _, g := range gs {
 		gg := g.(*group)
-		e.sources(gg)
-		e.dests(gg)
-		groups = append(groups, gg)
+		k, ok := byDelta[gg.sdelta]
+		if !ok {
+			k = len(cs)
+			byDelta[gg.sdelta] = k
+			cs = append(cs, deltaCluster{sdelta: gg.sdelta, src: e.clusterMask(2 * k), dst: e.clusterMask(2*k + 1)})
+		}
+		cs[k].src.OrInPlace(e.sources(gg))
 	}
-	return groups
+	for _, c := range cs {
+		c.dst.ShiftInto(c.src, c.sdelta)
+	}
+	return cs
+}
+
+// clusterMask returns the i-th pooled mask bitset, cleared.
+func (e *Engine) clusterMask(i int) *Bitset {
+	for len(e.masks) <= i {
+		e.masks = append(e.masks, NewBitset(e.n))
+	}
+	return e.masks[i].ClearAll()
 }
 
 // trimCore trims w to its cycle core: the greatest subset in which every
@@ -49,8 +81,10 @@ func (e *Engine) materialGroups(gs []core.Group) []*group {
 // cyclic SCC lies entirely within the core, so Tarjan searches the core
 // instead of w. In the common case — the heuristic keeps the recovery
 // graph acyclic — the core empties out after a few word-level fixpoint
-// rounds and the search is skipped entirely. Returns nil when canceled.
-func (e *Engine) trimCore(groups []*group, w *Bitset) *Bitset {
+// rounds and the search is skipped entirely. Each round runs over the
+// delta clusters of gs, not over the groups. Returns nil when canceled.
+func (e *Engine) trimCore(gs []core.Group, w *Bitset) *Bitset {
+	cs := e.deltaClusters(gs)
 	cc := w.Clone()
 	hasSucc := NewBitset(e.n)
 	hasPred := NewBitset(e.n)
@@ -60,17 +94,11 @@ func (e *Engine) trimCore(groups []*group, w *Bitset) *Bitset {
 		}
 		hasSucc.ClearAll()
 		hasPred.ClearAll()
-		for _, gg := range groups {
-			// Pre(g, cc): states of src(g) whose successor stays in cc;
-			// Post(g, cc): states reached from cc ∩ src(g). Sparse groups
-			// take the per-state scan, like the Pre/Post kernels.
-			if e.sparse(gg) {
-				e.preRef(gg, cc, hasSucc)
-				e.postRef(gg, cc, hasPred)
-				continue
-			}
-			hasSucc.OrShiftMasked(cc, -gg.sdelta, gg.srcSet)
-			hasPred.OrShiftMasked(cc, gg.sdelta, gg.dstSet)
+		for _, c := range cs {
+			// Pre(C, cc): states of src(C) whose successor stays in cc;
+			// Post(C, cc): states reached from cc ∩ src(C).
+			hasSucc.OrShiftMasked(cc, -c.sdelta, c.src)
+			hasPred.OrShiftMasked(cc, c.sdelta, c.dst)
 		}
 		hasSucc.AndInto(hasSucc, hasPred)
 		hasSucc.AndInto(hasSucc, cc)

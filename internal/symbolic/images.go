@@ -8,9 +8,10 @@ import (
 // This file holds the tuned ranking/recovery image path: the engine-level
 // Pre and the per-group probe operations run on the retained cycle-
 // detection scratch manager (warm operation cache, persistent→scratch copy
-// memo) instead of the persistent store, and per-group pre-image terms are
-// combined through a balanced union tree. SetReferenceRanks restores the
-// persistent-manager linear folds as the differential oracle. Results are
+// memo) instead of the persistent store, and Pre's per-write-cube-cluster
+// terms are combined through a balanced union tree. SetReferenceRanks
+// restores the per-group persistent-manager linear folds as the
+// differential oracle. Results are
 // identical either way: the probes return booleans, and Pre's result is a
 // canonical BDD of the same function regardless of where — and in which
 // association order — it was computed.
@@ -62,26 +63,14 @@ func (e *Engine) imgCtx() *sccCtx {
 	return &sccCtx{e: e, m: s.m, memo: s.memo}
 }
 
-// scratchPre is Pre on the scratch manager: per-group terms q_i = src_i ∧
-// Restrict(x, wcube_i), combined with a balanced union tree.
-func (c *sccCtx) scratchPre(gs []core.Group, x bdd.Ref) bdd.Ref {
-	terms := make([]bdd.Ref, 0, len(gs))
-	for _, g := range gs {
-		gg := g.(*group)
-		src := c.copyIn(gg.src, c.memo)
-		wc := c.copyIn(gg.writeCube, c.memo)
-		if q := c.m.And(src, c.m.Restrict(x, wc)); q != bdd.False {
-			terms = append(terms, q)
-		}
-	}
-	return orTree(c.m, terms)
-}
-
 // preScratch computes Pre(gs, X) on the retained scratch manager and
-// migrates the result back to the persistent store.
+// migrates the result back to the persistent store. The groups are
+// clustered by write cube as in CyclicSCCs, so x is cofactored once per
+// distinct cube instead of once per group.
 func (e *Engine) preScratch(gs []core.Group, x bdd.Ref) bdd.Ref {
 	c := e.imgCtx()
-	out := c.scratchPre(gs, c.copyIn(x, c.memo))
+	c.addClustered(gs)
+	out := c.preTree(c.copyIn(x, c.memo))
 	return c.copyBack(out, make(map[bdd.Ref]bdd.Ref))
 }
 

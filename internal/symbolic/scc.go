@@ -21,9 +21,9 @@ import (
 type sccCtx struct {
 	e         *Engine
 	m         *bdd.Manager
-	src       []bdd.Ref           // per group: source states
-	wcube     []bdd.Ref           // per group: written-values literal cube
-	wvars     []bdd.Ref           // per group: positive cube of written bit levels
+	src       []bdd.Ref           // per cluster: union of the members' source states
+	wcube     []bdd.Ref           // per cluster: the members' written-values literal cube
+	wvars     []bdd.Ref           // per cluster: positive cube of the written bit levels
 	memo      map[bdd.Ref]bdd.Ref // persistent → scratch copy memo for this call
 	throwaway bool                // manager is private to this call (reference mode)
 	qbuf      []bdd.Ref           // reused term buffer for balanced union trees
@@ -122,25 +122,59 @@ func (e *Engine) settleScratch(ctx *sccCtx) {
 // migrating previously seen persistent refs (the group cubes, the
 // recurring `within` set) a map lookup; SetReferenceFixpoints restores a
 // private throwaway manager per call.
+//
+// The default path also clusters the groups by write cube. The cube fixes
+// the written bits (and with them the written bit levels), so over a
+// cluster whose members' sources union to src
+//
+//	pre(x)   = src ∧ Restrict(x, wcube)
+//	image(x) = (∃wvars. x ∧ src) ∧ wcube
+//
+// — the union of the members' images, by distributivity. Every fixpoint
+// below then runs per cluster: coloring-13's 702 action and candidate
+// groups share 39 write cubes. Reference mode keeps one cluster per group
+// as the oracle.
 func (e *Engine) newSCCCtx(gs []core.Group) *sccCtx {
 	ctx := &sccCtx{e: e}
 	if e.refFix {
 		ctx.m = bdd.New(e.m.NumVars())
 		ctx.memo = make(map[bdd.Ref]bdd.Ref)
 		ctx.throwaway = true
-	} else {
-		s := e.ensureScratch()
-		ctx.m = s.m
-		ctx.memo = s.memo
+		for _, g := range gs {
+			ctx.addCluster(g.(*group))
+		}
+		return ctx
 	}
-	for _, g := range gs {
-		gg := g.(*group)
-		ctx.src = append(ctx.src, ctx.copyIn(gg.src, ctx.memo))
-		ctx.wcube = append(ctx.wcube, ctx.copyIn(gg.writeCube, ctx.memo))
-		ctx.wvars = append(ctx.wvars, ctx.copyIn(gg.writeVars, ctx.memo))
-	}
+	s := e.ensureScratch()
+	ctx.m = s.m
+	ctx.memo = s.memo
+	ctx.addClustered(gs)
 	return ctx
 }
+
+// addClustered adds gs to the context clustered by write cube.
+func (c *sccCtx) addClustered(gs []core.Group) {
+	byCube := make(map[bdd.Ref]int)
+	for _, g := range gs {
+		gg := g.(*group)
+		if k, ok := byCube[gg.writeCube]; ok {
+			c.src[k] = c.union(c.src[k], c.copyIn(gg.src, c.memo))
+			continue
+		}
+		byCube[gg.writeCube] = len(c.src)
+		c.addCluster(gg)
+	}
+}
+
+// addCluster opens a cluster holding g alone.
+func (c *sccCtx) addCluster(g *group) {
+	c.src = append(c.src, c.copyIn(g.src, c.memo))
+	c.wcube = append(c.wcube, c.copyIn(g.writeCube, c.memo))
+	c.wvars = append(c.wvars, c.copyIn(g.writeVars, c.memo))
+}
+
+// union returns f ∨ g on the scratch manager.
+func (c *sccCtx) union(f, g bdd.Ref) bdd.Ref { return c.m.Or(f, g) }
 
 // copyIn migrates a persistent-manager BDD into the scratch manager.
 func (c *sccCtx) copyIn(f bdd.Ref, memo map[bdd.Ref]bdd.Ref) bdd.Ref {
@@ -289,7 +323,7 @@ func (c *sccCtx) skeletonEnum(v0 bdd.Ref, emit func(bdd.Ref)) {
 }
 
 // pre returns the states with a transition into x; post the states
-// reachable from x in one step. The tuned path batches the per-group
+// reachable from x in one step. The tuned path batches the per-cluster
 // terms through a balanced union tree (orTree) — canonicity makes the
 // result identical to the linear fold the reference oracle keeps, but the
 // operands stay comparably sized instead of one accumulator growing with
@@ -302,6 +336,12 @@ func (c *sccCtx) pre(x bdd.Ref) bdd.Ref {
 		}
 		return out
 	}
+	return c.preTree(x)
+}
+
+// preTree is the tuned pre: per-cluster terms through a balanced union
+// tree.
+func (c *sccCtx) preTree(x bdd.Ref) bdd.Ref {
 	terms := c.qbuf[:0]
 	for i := range c.src {
 		if q := c.m.And(c.src[i], c.m.Restrict(x, c.wcube[i])); q != bdd.False {
@@ -312,7 +352,8 @@ func (c *sccCtx) pre(x bdd.Ref) bdd.Ref {
 	return orTree(c.m, terms)
 }
 
-// image is post restricted to one group: the successors of x under group i.
+// image is post restricted to one cluster: the successors of x under
+// cluster i.
 func (c *sccCtx) image(i int, x bdd.Ref) bdd.Ref {
 	srcs := c.m.And(x, c.src[i])
 	if srcs == bdd.False {
@@ -328,7 +369,7 @@ func (c *sccCtx) image(i int, x bdd.Ref) bdd.Ref {
 // — then both directions interleave to convergence.
 //
 // The default path exploits monotonicity twice. The core only shrinks, so
-// a group with no internal transition in the current core — no source
+// a cluster with no internal transition in the current core — no source
 // state in it whose successor is also in it — can never regain one and is
 // dropped from every later iteration; that one liveness condition covers
 // both image directions. SetReferenceFixpoints(true) restores the oracle
@@ -359,11 +400,11 @@ func (c *sccCtx) trim(v bdd.Ref) bdd.Ref {
 	for i := range act {
 		act[i] = i
 	}
-	// Forward pass: keep states with a successor inside v. The per-group
-	// preimage term q_i = src_i ∧ Restrict(v, wcube_i) is already what the
-	// reference pre(v) computes; empty q_i means no transition of group i
-	// lands in v at all, and since v only shrinks, never will again — the
-	// group is retired for free, with no extra operations when live.
+	// Forward pass: keep states with a successor inside v. The per-cluster
+	// preimage term q_i = src_i ∧ Restrict(v, wcube_i) is already what
+	// pre(v) computes; empty q_i means no transition of cluster i lands in
+	// v at all, and since v only shrinks, never will again — the cluster
+	// is retired for free, with no extra operations when live.
 	for {
 		terms := c.qbuf[:0]
 		na := act[:0]
@@ -390,7 +431,7 @@ func (c *sccCtx) trim(v bdd.Ref) bdd.Ref {
 		return v
 	}
 	// Both directions to convergence. Retiring on empty q_i is sound for
-	// the image union too: no transition of group i lands in v, so its
+	// the image union too: no transition of cluster i lands in v, so its
 	// image contributes nothing inside v, and the result is intersected
 	// with v before use.
 	for {
@@ -464,7 +505,7 @@ func (c *sccCtx) skelForward(v, n bdd.Ref) (fw, s2, n2 bdd.Ref) {
 	return fw, s2, n2
 }
 
-// hasInternalTransition reports whether some group has a transition with
+// hasInternalTransition reports whether some cluster has a transition with
 // both endpoints in scc (i.e. the component contains a cycle).
 func (c *sccCtx) hasInternalTransition(scc bdd.Ref) bool {
 	for i := range c.src {
