@@ -93,6 +93,7 @@ const (
 	opExists
 	opRestrict
 	opSupport
+	opIntersects
 
 	opCodes // number of op codes, bound for the per-op counter arrays
 )
@@ -100,7 +101,7 @@ const (
 // opNames maps operation codes to their stable external names.
 var opNames = [opCodes]string{
 	opITE: "ite", opExists: "exists", opRestrict: "restrict",
-	opSupport: "support",
+	opSupport: "support", opIntersects: "intersects",
 }
 
 // DefaultCacheMax is the default upper bound on the operation cache size
@@ -157,6 +158,10 @@ func (m *Manager) notePeak() {
 // Ops returns the number of cached recursive operations performed; a
 // platform-independent work metric.
 func (m *Manager) Ops() uint64 { return m.opCount }
+
+// GCRuns returns the number of collections run so far: Stats().GCRuns
+// without building the rest of the snapshot.
+func (m *Manager) GCRuns() int { return m.gcRuns }
 
 func (m *Manager) level(f Ref) int32 { return m.nodes[f].level }
 
@@ -316,7 +321,7 @@ type Stats struct {
 	Ops             uint64 // cached recursive operations performed
 
 	// PerOp breaks the cache counters down by operation code, in a fixed
-	// order (ite, exists, restrict, support).
+	// order (ite, exists, restrict, support, intersects).
 	PerOp []OpStats
 }
 
@@ -583,6 +588,39 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	r := m.mk(top, m.ITE(f0, g0, h0), m.ITE(f1, g1, h1))
 	m.cachePut(opITE, f, g, h, r)
 	return r
+}
+
+// Intersects reports whether f ∧ g is satisfiable — And(f, g) != False —
+// without building the conjunction: the walk allocates no nodes, exits at
+// the first satisfying pair of cofactors, and caches each visited operand
+// pair (result True or False) so shared subgraphs are walked once.
+func (m *Manager) Intersects(f, g Ref) bool {
+	switch {
+	case f == False || g == False:
+		return false
+	case f == True || g == True || f == g:
+		// A reduced BDD other than False has a satisfying path.
+		return true
+	}
+	if f > g {
+		f, g = g, f // the conjunction commutes: one cache key per pair
+	}
+	if r, ok := m.cacheGet(opIntersects, f, g, 0); ok {
+		return r == True
+	}
+	top := m.level(f)
+	if l := m.level(g); l < top {
+		top = l
+	}
+	f0, f1 := m.cofactors(f, top)
+	g0, g1 := m.cofactors(g, top)
+	hit := m.Intersects(f0, g0) || m.Intersects(f1, g1)
+	r := False
+	if hit {
+		r = True
+	}
+	m.cachePut(opIntersects, f, g, 0, r)
+	return hit
 }
 
 // And, Or, Xor, Not, Diff and Imp are the usual boolean connectives.

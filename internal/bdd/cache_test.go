@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -199,4 +200,44 @@ func TestGCDropsCacheWithoutEvictions(t *testing.T) {
 		t.Fatal("recomputed entry not re-cached after GC")
 	}
 	m.Release(kept)
+}
+
+// TestPerOpBreakdown pins the per-op counter order and checks that each
+// operation's activity lands on its own code: an Intersects walk moves
+// only the intersects counters, and a conjunction only the ite ones.
+func TestPerOpBreakdown(t *testing.T) {
+	m := New(8)
+	var names []string
+	for _, op := range m.Stats().PerOp {
+		names = append(names, op.Op)
+	}
+	if got, want := fmt.Sprint(names), "[ite exists restrict support intersects]"; got != want {
+		t.Fatalf("PerOp order %s, want %s", got, want)
+	}
+	f := m.Or(m.And(m.Var(0), m.Var(3)), m.Var(5))
+	g := m.And(m.NVar(3), m.Var(6))
+	perOp := func() map[string]OpStats {
+		out := make(map[string]OpStats)
+		for _, op := range m.Stats().PerOp {
+			out[op.Op] = op
+		}
+		return out
+	}
+	before := perOp()
+	if !m.Intersects(f, g) {
+		t.Fatal("f ∧ g is satisfiable")
+	}
+	after := perOp()
+	if after["ite"] != before["ite"] {
+		t.Fatalf("Intersects moved the ite counters: %+v -> %+v", before["ite"], after["ite"])
+	}
+	if after["intersects"].Misses == 0 || after["intersects"].Stores == 0 {
+		t.Fatalf("Intersects left no trace in its own counters: %+v", after["intersects"])
+	}
+	hits := after["intersects"].Hits
+	m.Intersects(f, g)
+	if got := perOp()["intersects"]; got.Hits != hits+1 {
+		t.Fatalf("repeated Intersects hit %d times, want 1", got.Hits-hits)
+	}
+	auditCacheStats(t, m)
 }

@@ -243,8 +243,8 @@ func TestMaybeGCWatermark(t *testing.T) {
 	if !ran || res.Reclaimed == 0 {
 		t.Fatalf("MaybeGC at watermark: ran=%v reclaimed=%d", ran, res.Reclaimed)
 	}
-	if m.Stats().GCRuns != 1 {
-		t.Fatalf("GCRuns = %d", m.Stats().GCRuns)
+	if m.Stats().GCRuns != 1 || m.GCRuns() != 1 {
+		t.Fatalf("Stats().GCRuns = %d, GCRuns() = %d", m.Stats().GCRuns, m.GCRuns())
 	}
 }
 

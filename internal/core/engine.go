@@ -61,8 +61,14 @@ type Engine interface {
 	// GroupFromTo reports whether some transition of g starts in from and
 	// ends in to.
 	GroupFromTo(g Group, from, to Set) bool
-	// GroupWithin reports whether some transition of g starts and ends in X.
-	GroupWithin(g Group, X Set) bool
+	// SCCGroups attributes the cycles of a CyclicSCCs result to groups:
+	// out[i] lists, in ascending order, the indices of the groups in gs
+	// with a transition that starts and ends inside sccs[i] (out[i] is
+	// empty when there is none). The sets must be pairwise disjoint, as
+	// CyclicSCCs returns them. PairwiseSCCGroups is the definition; an
+	// engine may share work across the batch instead of probing pair by
+	// pair.
+	SCCGroups(gs []Group, sccs []Set) [][]int
 
 	// Pre returns the states with a transition (under any group in gs) into
 	// X; Post the states reachable from X in one transition.
@@ -161,6 +167,21 @@ func srcIntersects(e Engine, g Group, X Set) bool {
 		return si.GroupSrcIntersects(g, X)
 	}
 	return !e.IsEmpty(e.And(e.GroupSrc(g), X))
+}
+
+// PairwiseSCCGroups answers SCCGroups with one GroupFromTo(g, scc, scc)
+// probe per (SCC, group) pair. It defines SCCGroups' result and serves
+// engines whose probes need no batching, and reference modes as oracle.
+func PairwiseSCCGroups(e Engine, gs []Group, sccs []Set) [][]int {
+	out := make([][]int, len(sccs))
+	for i, scc := range sccs {
+		for gi, g := range gs {
+			if e.GroupFromTo(g, scc, scc) {
+				out[i] = append(out[i], gi)
+			}
+		}
+	}
+	return out
 }
 
 // Compactor is an optional Engine capability: reclaim representation

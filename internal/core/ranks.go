@@ -11,12 +11,19 @@ import (
 // read/write restrictions — every candidate group all of whose transitions
 // start outside I. The result preserves δp|I and the closure of I.
 func Pim(e Engine, pss []Group) []Group {
+	return pimFrom(pss, RecoveryCandidates(e))
+}
+
+// pimFrom is Pim over an already computed RecoveryCandidates list, so
+// AddConvergence filters the candidates once for both the ranking and the
+// recovery passes.
+func pimFrom(pss, candidates []Group) []Group {
 	out := append([]Group(nil), pss...)
 	seen := make(map[protocol.Key]bool, len(pss))
 	for _, g := range pss {
 		seen[g.ProtocolGroup().Key()] = true
 	}
-	for _, g := range RecoveryCandidates(e) {
+	for _, g := range candidates {
 		if k := g.ProtocolGroup().Key(); !seen[k] {
 			seen[k] = true
 			out = append(out, g)

@@ -304,7 +304,7 @@ func AddConvergence(e Engine, opts Options) (*Result, error) {
 
 	// Ranking (the approximation of convergence, Section IV).
 	t0 := time.Now() //lint:ignore determinism wall-clock result timing only; never feeds a synthesis decision
-	pim := Pim(e, s.pss)
+	pim := pimFrom(s.pss, candidates)
 	var ranks []Set
 	imported := false
 	if loadedRanks != nil && loadedRanks.Ranks != nil {
@@ -445,13 +445,11 @@ func (s *synthesizer) removeInitialCycles(res *Result) error {
 		return nil
 	}
 	remove := make(map[protocol.Key]bool)
-	for _, scc := range sccs {
-		for _, g := range s.pss {
-			if !s.e.GroupWithin(g, scc) {
-				continue
-			}
+	for i, within := range s.e.SCCGroups(s.pss, sccs) {
+		for _, gi := range within {
+			g := s.pss[gi]
 			if srcIntersects(s.e, g, s.I) {
-				st, _ := s.e.PickState(scc)
+				st, _ := s.e.PickState(sccs[i])
 				return fmt.Errorf("%w: cycle through state %v uses group %s",
 					ErrUnresolvableCycle, st, g.ProtocolGroup().Render(s.e.Spec()))
 			}
@@ -652,8 +650,8 @@ func (s *synthesizer) addRecovery(proc int, from, to Set, pass int) {
 	}
 	kept := 0
 	var retry []Group
-	for _, g := range added {
-		if bad[g.ProtocolGroup().Key()] {
+	for i, g := range added {
+		if bad[i] {
 			retry = append(retry, g)
 			continue
 		}
@@ -720,26 +718,21 @@ func (s *synthesizer) accept(g Group) {
 // identifyResolveCycles is the paper's Identify_Resolve_Cycles: find the
 // SCCs of pss ∪ added restricted to ¬I and mark every *added* group with a
 // transition inside an SCC for removal (the conservative cycle resolution
-// the paper describes).
-func (s *synthesizer) identifyResolveCycles(union, added []Group) map[protocol.Key]bool {
-	bad := make(map[protocol.Key]bool)
-	for _, scc := range s.e.CyclicSCCs(union, s.notI) {
-		within := 0
-		var last Group
-		for _, g := range added {
-			if s.e.GroupWithin(g, scc) {
-				bad[g.ProtocolGroup().Key()] = true
-				within++
-				last = g
-			}
+// the paper describes). bad[i] reports the mark of added[i].
+func (s *synthesizer) identifyResolveCycles(union, added []Group) (bad []bool) {
+	bad = make([]bool, len(added))
+	sccs := s.e.CyclicSCCs(union, s.notI)
+	for _, within := range s.e.SCCGroups(added, sccs) {
+		for _, gi := range within {
+			bad[gi] = true
 		}
 		// Doom learning: an SCC whose internal edges involve exactly one
 		// added group proves pss ∪ {that group} cyclic in ¬I. pss only
 		// grows, so the cycle persists: the group is flagged by every
 		// future batch check and rejected by every incremental retry —
 		// permanently unacceptable.
-		if s.doomed != nil && within == 1 {
-			if k := last.ProtocolGroup().Key(); !s.doomed[k] {
+		if s.doomed != nil && len(within) == 1 {
+			if k := added[within[0]].ProtocolGroup().Key(); !s.doomed[k] {
 				s.doomed[k] = true
 				s.doomGrew = true
 			}

@@ -61,6 +61,9 @@ type SymbolicBench struct {
 // rank/recovery pass because the tuning left them at 1.0× (coloring-11)
 // or over a minute per leg (two-ring) — exercise the warm-scratch
 // ranking/recovery images and the balanced union trees that pass added.
+// coloring-13 (3^13 states) is the smallest instance engine "auto" hands
+// to the symbolic engine, so one full-list case runs where default
+// traffic does; its recovery probes dominate the solve.
 // Quick mode keeps only the small instances: two-ring alone costs
 // minutes across six legs, far past a CI smoke budget.
 func symbolicBenchCases(quick bool) []struct {
@@ -87,6 +90,7 @@ func symbolicBenchCases(quick bool) []struct {
 		{"matching-7", protocols.Matching(7)},
 		{"coloring-7", protocols.Coloring(7)},
 		{"coloring-11", protocols.Coloring(11)},
+		{"coloring-13", protocols.Coloring(13)},
 		{"two-ring", protocols.TwoRingTokenRing()},
 	}
 }

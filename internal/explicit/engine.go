@@ -3,6 +3,7 @@ package explicit
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"stsyn/internal/core"
 	"stsyn/internal/protocol"
@@ -71,6 +72,11 @@ type Engine struct {
 	// allocates no masks in steady state.
 	masks []*Bitset
 
+	// labels is SCCGroups' state → component-label array, pooled like
+	// masks; nextLabel is the first label no call has used yet.
+	labels    []int32
+	nextLabel int32
+
 	// refKernels switches the image operations back to the per-state
 	// reference scans the word-level kernels replaced. The scans are kept
 	// as the oracle for the kernel-equivalence tests and as the "before"
@@ -100,7 +106,7 @@ var _ core.SrcIntersecter = (*Engine)(nil)
 type KernelStats struct {
 	PreCalls   uint64 // Pre image operations
 	PostCalls  uint64 // Post image operations
-	GroupTests uint64 // GroupDstInto/GroupFromTo/GroupWithin/GroupSrcIntersects
+	GroupTests uint64 // GroupDstInto/GroupFromTo/GroupSrcIntersects calls, plus one per group an SCCGroups call walks
 }
 
 // KernelStats returns a snapshot of the kernel counters.
@@ -247,7 +253,14 @@ func (e *Engine) forEachSrc(g *group, f func(src uint64) bool) {
 		f(g.srcBase)
 		return
 	}
-	counters := make([]int, len(g.unreadD))
+	// A fixed buffer keeps the common case allocation-free: groups leave
+	// few variables unread.
+	var buf [8]int
+	counters := buf[:]
+	if len(g.unreadD) > len(buf) {
+		counters = make([]int, len(g.unreadD))
+	}
+	counters = counters[:len(g.unreadD)]
 	src := g.srcBase
 	for {
 		if !f(src) {
@@ -379,8 +392,73 @@ func (e *Engine) GroupFromTo(g core.Group, from, to core.Set) bool {
 	return t.ShiftIntersects(-gg.sdelta, gg.srcSet, f)
 }
 
-func (e *Engine) GroupWithin(g core.Group, X core.Set) bool {
-	return e.GroupFromTo(g, X, X)
+// SCCGroups answers each group in whichever of two ways costs less for
+// it. The per-pair probes cost up to one word pass over the universe per
+// component; the labelled walk costs one state test per source of the
+// group, a state test costing about 2.5 word operations (see sparse). The
+// walk writes every component's label into the pooled label array once
+// per call; a transition s → s+Δ lies inside a component exactly when
+// both endpoints carry the same label of this call. It starts at the
+// group's first transition, as GroupFromTo does, and stops once the group
+// has hit every component. With a single component there is nothing to
+// label: its pairwise probe never costs more than the walk. Reference
+// mode keeps the per-pair probes as the oracle.
+func (e *Engine) SCCGroups(gs []core.Group, sccs []core.Set) [][]int {
+	if e.refKernels || len(sccs) <= 1 {
+		return core.PairwiseSCCGroups(e, gs, sccs)
+	}
+	out := make([][]int, len(sccs))
+	var lab []int32
+	var base int32
+	for gi, g := range gs {
+		gg := g.(*group)
+		src := e.sources(gg)
+		if 2*uint64(len(sccs))*uint64(len(src.words)) < 5*gg.srcCount {
+			for i, scc := range sccs {
+				if e.GroupFromTo(g, scc, scc) {
+					out[i] = append(out[i], gi)
+				}
+			}
+			continue
+		}
+		if lab == nil {
+			lab, base = e.labelSCCs(sccs)
+		}
+		e.kstats.GroupTests++
+		hits := 0
+		e.forEachSrc(gg, func(s uint64) bool {
+			if l := lab[s]; l >= base && lab[s+gg.delta] == l {
+				// Groups are walked in ascending order, so a component's
+				// list already ends in gi when this group hit it before.
+				i := l - base
+				if n := len(out[i]); n == 0 || out[i][n-1] != gi {
+					out[i] = append(out[i], gi)
+					hits++
+				}
+			}
+			return hits < len(sccs)
+		})
+	}
+	return out
+}
+
+// labelSCCs labels every state of sccs[i] with base+i in the pooled label
+// array and returns the array and base. Each call takes labels above every
+// earlier call's, so entries below base are stale and never need clearing:
+// the array is allocated once per engine, like the trim's cluster masks,
+// and zeroed again only when the labels would overflow.
+func (e *Engine) labelSCCs(sccs []core.Set) ([]int32, int32) {
+	if e.labels == nil || e.nextLabel > math.MaxInt32-int32(len(sccs)) {
+		e.labels = make([]int32, e.n)
+		e.nextLabel = 1
+	}
+	base := e.nextLabel
+	e.nextLabel += int32(len(sccs))
+	for i, scc := range sccs {
+		l := base + int32(i)
+		scc.(*Bitset).ForEach(func(s uint64) bool { e.labels[s] = l; return true })
+	}
+	return e.labels, base
 }
 
 func (e *Engine) Pre(gs []core.Group, X core.Set) core.Set {

@@ -1,9 +1,11 @@
 package explicit
 
 import (
+	"math/rand"
 	"testing"
 
 	"stsyn/internal/core"
+	"stsyn/internal/protocol"
 	"stsyn/internal/protocols"
 )
 
@@ -79,5 +81,48 @@ func BenchmarkCyclicSCCs(b *testing.B) {
 	e, gs, x := benchEngine(b, false)
 	for i := 0; i < b.N; i++ {
 		e.CyclicSCCs(gs, x)
+	}
+}
+
+// BenchmarkSCCGroups times cycle attribution on two batch shapes: the
+// components of the action groups plus a subset of the candidate groups in
+// ¬I, attributed to that subset. On matching-9 (3^9 = 19683 states, every
+// other candidate) that is 511 small components. On coloring-11 (3^11 =
+// 177147 states, a seeded random half of the candidates) it is two
+// components over most of ¬I and groups whose sources are too dense for a
+// per-state walk. "labels" is the engine's labelled pass, "pairwise" the
+// GroupFromTo probe per (component, group) pair it replaced.
+func BenchmarkSCCGroups(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		sp   *protocol.Spec
+		keep func(rng *rand.Rand, i int) bool
+	}{
+		{"matching-9", protocols.Matching(9), func(_ *rand.Rand, i int) bool { return i%2 == 0 }},
+		{"coloring-11", protocols.Coloring(11), func(rng *rand.Rand, _ int) bool { return rng.Intn(100) < 50 }},
+	} {
+		e, err := New(c.sp, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		var added []core.Group
+		for i, g := range e.CandidateGroups() {
+			if c.keep(rng, i) {
+				added = append(added, g)
+			}
+		}
+		sccs := e.CyclicSCCs(append(e.ActionGroups(), added...), e.Not(e.Invariant()))
+		b.Run(c.name+"/labels", func(b *testing.B) {
+			b.ReportMetric(float64(len(sccs)), "sccs")
+			for i := 0; i < b.N; i++ {
+				e.SCCGroups(added, sccs)
+			}
+		})
+		b.Run(c.name+"/pairwise", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.PairwiseSCCGroups(e, added, sccs)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package explicit
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -148,17 +149,22 @@ func checkKernelEquivalence(t *testing.T, sp *protocol.Spec, seed int64) {
 		if got, want := kern.Post(kgs, x).(*Bitset), ref.Post(rgs, x).(*Bitset); !got.Equal(want) {
 			t.Fatalf("set %d: Post kernel != reference", si)
 		}
-		got := componentFingerprints(kern.CyclicSCCs(kgs, x))
+		sccs := kern.CyclicSCCs(kgs, x)
+		got := componentFingerprints(sccs)
 		want := componentFingerprints(ref.CyclicSCCs(rgs, x))
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("set %d: trimmed CyclicSCCs %v != reference %v", si, got, want)
 		}
+		// Cycle attribution: the labelled walk against the reference
+		// engine's per-pair probes, over the components and over x alone.
+		for _, ss := range [][]core.Set{sccs, {x}} {
+			if got, want := kern.SCCGroups(kgs, ss), ref.SCCGroups(rgs, ss); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("set %d: SCCGroups kernel %v != reference %v", si, got, want)
+			}
+		}
 		for gi := range kgs {
 			if got, want := kern.GroupDstInto(kgs[gi], x), ref.GroupDstInto(rgs[gi], x); got != want {
 				t.Fatalf("set %d group %d: GroupDstInto kernel %v != reference %v", si, gi, got, want)
-			}
-			if got, want := kern.GroupWithin(kgs[gi], x), ref.GroupWithin(rgs[gi], x); got != want {
-				t.Fatalf("set %d group %d: GroupWithin kernel %v != reference %v", si, gi, got, want)
 			}
 			if got, want := kern.GroupSrcIntersects(kgs[gi], x), ref.GroupSrcIntersects(rgs[gi], x); got != want {
 				t.Fatalf("set %d group %d: GroupSrcIntersects kernel %v != reference %v", si, gi, got, want)
@@ -250,5 +256,45 @@ func TestMutableSetsCapability(t *testing.T) {
 	ms.OrSrcInto(empty, g)
 	if !e.Equal(empty, e.GroupSrc(g)) {
 		t.Fatal("OrSrcInto(∅, g) should equal GroupSrc(g)")
+	}
+}
+
+// TestSCCGroupsLabelWrap drives the pooled label array across the point
+// where its labels would overflow: the array is zeroed and relabelled, and
+// no label of an earlier call may leak into a later one.
+func TestSCCGroupsLabelWrap(t *testing.T) {
+	sp := protocols.GoudaAcharyaMatching(5)
+	kern, err := New(sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.SetReferenceKernels(true)
+	gs := append(kern.ActionGroups(), kern.CandidateGroups()...)
+	sccs := kern.CyclicSCCs(kern.ActionGroups(), kern.Not(kern.Invariant()))
+	if len(sccs) < 2 {
+		t.Fatalf("want several components, got %d", len(sccs))
+	}
+	want := fmt.Sprint(ref.SCCGroups(gs, sccs))
+	kern.SCCGroups(gs, sccs) // allocate the label array
+	kern.nextLabel = math.MaxInt32 - int32(len(sccs)) - 1
+	for call := 0; call < 3; call++ {
+		// The first call fits below the limit, the second wraps, and the
+		// third runs on the relabelled array; the last two drop sccs[0] so
+		// a stale label of it would show.
+		ss := sccs
+		if call > 0 {
+			ss = sccs[1:]
+			want = fmt.Sprint(ref.SCCGroups(gs, ss))
+		}
+		if got := fmt.Sprint(kern.SCCGroups(gs, ss)); got != want {
+			t.Fatalf("call %d (next label %d): SCCGroups %s, want %s", call, kern.nextLabel, got, want)
+		}
+	}
+	if kern.nextLabel > int32(3*len(sccs)) {
+		t.Fatalf("labels never wrapped: next label %d", kern.nextLabel)
 	}
 }

@@ -208,18 +208,27 @@ func (e *Engine) CandidateGroups() []core.Group { return append([]core.Group(nil
 
 func (e *Engine) GroupSrc(g core.Group) core.Set { return g.(*group).src }
 
-// GroupSrcIntersects implements core.SrcIntersecter: one conjunction
-// against the interned source set, no extra refs to manage.
+// GroupSrcIntersects implements core.SrcIntersecter: a node-free
+// satisfiability walk of src ∧ X on the persistent manager.
 func (e *Engine) GroupSrcIntersects(g core.Group, X core.Set) bool {
-	return e.m.And(g.(*group).src, X.(bdd.Ref)) != bdd.False
+	return e.m.Intersects(g.(*group).src, X.(bdd.Ref))
 }
 
+// The recovery probes below answer yes/no questions about one group's
+// transitions. A transition of g from s ends in X exactly when s ∈ src ∧
+// Restrict(X, wcube), so each probe is one node-free Intersects walk of
+// src against an operand that depends on the group only through its write
+// cube: the scratch manager's operation cache shares it across the groups
+// of one cube, and the per-group work builds no nodes. SetReferenceRanks
+// keeps the node-building persistent-manager probes as the oracle.
+
 func (e *Engine) GroupDstInto(g core.Group, X core.Set) bool {
+	gg := g.(*group)
 	if e.refRanks {
-		return e.preGroup(g.(*group), X.(bdd.Ref)) != bdd.False
+		return e.preGroup(gg, X.(bdd.Ref)) != bdd.False
 	}
 	c := e.imgCtx()
-	return c.groupPreScratch(g.(*group), c.copyIn(X.(bdd.Ref), c.memo)) != bdd.False
+	return c.srcMeets(gg, c.m.Restrict(c.copyIn(X.(bdd.Ref), c.memo), c.copyIn(gg.writeCube, c.memo)))
 }
 
 func (e *Engine) GroupFromTo(g core.Group, from, to core.Set) bool {
@@ -228,15 +237,15 @@ func (e *Engine) GroupFromTo(g core.Group, from, to core.Set) bool {
 		return e.m.And(from.(bdd.Ref), e.preGroup(gg, to.(bdd.Ref))) != bdd.False
 	}
 	c := e.imgCtx()
-	pre := c.groupPreScratch(gg, c.copyIn(to.(bdd.Ref), c.memo))
-	if pre == bdd.False {
-		return false
-	}
-	return c.m.And(c.copyIn(from.(bdd.Ref), c.memo), pre) != bdd.False
+	return c.srcMeets(gg, c.fromTo(c.copyIn(from.(bdd.Ref), c.memo), c.copyIn(to.(bdd.Ref), c.memo), gg))
 }
 
-func (e *Engine) GroupWithin(g core.Group, X core.Set) bool {
-	return e.GroupFromTo(g, X, X)
+// SCCGroups probes every (component, group) pair with GroupFromTo. Each
+// probe is a node-free walk whose from ∧ Restrict(to, wcube) operand the
+// scratch manager's operation cache shares across the groups of one
+// write cube.
+func (e *Engine) SCCGroups(gs []core.Group, sccs []core.Set) [][]int {
+	return core.PairwiseSCCGroups(e, gs, sccs)
 }
 
 func (e *Engine) Pre(gs []core.Group, X core.Set) core.Set {

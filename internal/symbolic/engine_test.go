@@ -1,6 +1,7 @@
 package symbolic_test
 
 import (
+	"fmt"
 	"testing"
 
 	"stsyn/internal/core"
@@ -116,9 +117,11 @@ func TestGroupPredicatesAgree(t *testing.T) {
 		if got, want := se.GroupDstInto(sgs[i], sI), ee.GroupDstInto(egs[i], eI); got != want {
 			t.Fatalf("GroupDstInto disagrees on %v", sgs[i].ProtocolGroup())
 		}
-		if got, want := se.GroupWithin(sgs[i], snI), ee.GroupWithin(egs[i], enI); got != want {
-			t.Fatalf("GroupWithin disagrees on %v", sgs[i].ProtocolGroup())
-		}
+	}
+	got := se.SCCGroups(sgs, []core.Set{snI, sI})
+	want := ee.SCCGroups(egs, []core.Set{enI, eI})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("SCCGroups over {¬I, I}: symbolic %v, explicit %v", got, want)
 	}
 }
 

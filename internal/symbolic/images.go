@@ -74,9 +74,15 @@ func (e *Engine) preScratch(gs []core.Group, x bdd.Ref) bdd.Ref {
 	return c.copyBack(out, make(map[bdd.Ref]bdd.Ref))
 }
 
-// groupPreScratch is the scratch-manager preGroup: src ∧ x[written:=vals].
-func (c *sccCtx) groupPreScratch(g *group, x bdd.Ref) bdd.Ref {
-	src := c.copyIn(g.src, c.memo)
-	wc := c.copyIn(g.writeCube, c.memo)
-	return c.m.And(src, c.m.Restrict(x, wc))
+// fromTo returns from ∧ Restrict(to, wcube(g)) on the scratch manager:
+// the states whose successor under any group with g's write cube lies in
+// to, intersected with from. It depends on g only through the cube.
+func (c *sccCtx) fromTo(from, to bdd.Ref, g *group) bdd.Ref {
+	return c.m.And(from, c.m.Restrict(to, c.copyIn(g.writeCube, c.memo)))
+}
+
+// srcMeets reports whether g has a source state in x (a scratch ref),
+// without building the conjunction.
+func (c *sccCtx) srcMeets(g *group, x bdd.Ref) bool {
+	return c.m.Intersects(c.copyIn(g.src, c.memo), x)
 }

@@ -56,9 +56,9 @@ const scratchRebuildNodes = 1 << 16
 // (persistent refs whose slots may now be reused) go stale — so the memo
 // alone is flushed and the warm operation cache lives on.
 func (e *Engine) ensureScratch() *scratchMgr {
-	gc := e.m.Stats().GCRuns
+	gc := e.m.GCRuns()
 	if s := e.sccScratch; s != nil {
-		if s.m.Stats().LiveNodes > scratchRebuildNodes {
+		if s.m.Live() > scratchRebuildNodes {
 			e.dropScratch()
 		} else if s.gcRuns != gc {
 			s.memo = make(map[bdd.Ref]bdd.Ref)

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Regenerates the committed engine perf baselines (BENCH_explicit.json,
 # BENCH_symbolic.json) and runs the Go micro-benchmarks for the explicit
-# delta-shift kernels and the trimmed Tarjan SCC search. Run from the
-# repository root.
+# delta-shift kernels, the trimmed Tarjan SCC search and the labelled cycle
+# attribution. Run from the repository root.
 #
 #   scripts/bench.sh            # full baselines + micro-benchmarks
 #   scripts/bench.sh -quick     # CI smoke, prints both JSON docs to stdout
@@ -58,6 +58,7 @@ go run ./cmd/stsyn-bench -json -engine symbolic | tee BENCH_symbolic.json.tmp
 mv BENCH_symbolic.json.tmp BENCH_symbolic.json
 echo "wrote BENCH_symbolic.json" >&2
 
-# Micro-benchmarks: kernel vs reference image ops, trimmed Tarjan SCC.
-go test -run='^$' -bench='BenchmarkP(ost|re)|BenchmarkGroupDstInto|BenchmarkCyclicSCCs' \
+# Micro-benchmarks: kernel vs reference image ops, trimmed Tarjan SCC,
+# labelled vs pairwise cycle attribution.
+go test -run='^$' -bench='BenchmarkP(ost|re)|BenchmarkGroupDstInto|BenchmarkCyclicSCCs|BenchmarkSCCGroups' \
     -benchmem ./internal/explicit
