@@ -123,7 +123,7 @@ func (m *Manager) Support(f Ref) []int {
 // (pass the same map to amortize shared structure).
 //
 // This enables scoped scratch managers: run a garbage-heavy computation in
-// a throwaway manager, copy the (small) results back, and drop the scratch
+// a separate manager, copy the (small) results back, and drop the scratch
 // manager — a wholesale garbage collection.
 func (m *Manager) CopyFrom(src *Manager, f Ref, memo map[Ref]Ref) Ref {
 	if src.nvars != m.nvars {

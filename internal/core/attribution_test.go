@@ -12,41 +12,7 @@ import (
 	"stsyn/internal/protocol"
 	"stsyn/internal/protocols"
 	"stsyn/internal/specgen"
-	"stsyn/internal/symbolic"
 )
-
-// attributionEngine builds an engine of the given kind: "explicit" and
-// "symbolic" are the defaults, the "-ref" variants switch on every
-// reference mode of the engine.
-func attributionEngine(t *testing.T, kind string, sp *protocol.Spec) core.Engine {
-	t.Helper()
-	switch kind {
-	case "explicit", "explicit-ref":
-		e, err := explicit.New(sp, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind == "explicit-ref" {
-			e.SetReferenceKernels(true)
-			e.SetReferenceRanks(true)
-		}
-		return e
-	case "symbolic", "symbolic-ref":
-		e, err := symbolic.New(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind == "symbolic-ref" {
-			e.SetReferenceFixpoints(true)
-			e.SetReferenceRanks(true)
-		}
-		return e
-	}
-	t.Fatalf("unknown engine kind %q", kind)
-	return nil
-}
-
-var attributionKinds = []string{"explicit", "explicit-ref", "symbolic", "symbolic-ref"}
 
 // setStates renders the states of a set as a canonical string, so sets of
 // different engines compare by content.
@@ -77,19 +43,19 @@ func attribution(e core.Engine, gs []core.Group, sccs []core.Set, out [][]int) s
 	return strings.Join(lines, "\n")
 }
 
-// checkAttribution compares SCCGroups with the pairwise oracle on every
-// engine kind, over the SCCs of several group subsets of sp (the action
+// checkAttribution compares SCCGroups with the pairwise oracle on both
+// engines, over the SCCs of several group subsets of sp (the action
 // groups, all groups, and random subsets) in ¬I and in the whole space,
-// attributing to the searched groups and to a random subset of them. All
-// four engine kinds must also agree with each other: symbolic SCCGroups is
-// the pairwise loop itself, so there the check that counts is against the
-// other engines, the reference kinds included. It returns the number of
-// (component, group) attributions the default explicit engine made.
+// attributing to the searched groups and to a random subset of them. The
+// engines must also agree with each other: symbolic SCCGroups is the
+// pairwise loop itself, so there the check that counts is against the
+// explicit engine. It returns the number of (component, group)
+// attributions the explicit engine made.
 func checkAttribution(t *testing.T, sp *protocol.Spec, seed int64) (hits int) {
 	t.Helper()
 	rendered := make(map[string][]string)
-	for _, kind := range attributionKinds {
-		e := attributionEngine(t, kind, sp)
+	for _, kind := range engineKinds {
+		e := engineOfKind(t, kind, sp)
 		rng := rand.New(rand.NewSource(seed))
 		all := append(e.ActionGroups(), e.CandidateGroups()...)
 		subsets := [][]core.Group{e.ActionGroups(), all}
@@ -133,10 +99,8 @@ func checkAttribution(t *testing.T, sp *protocol.Spec, seed int64) (hits int) {
 			}
 		}
 	}
-	for _, kind := range attributionKinds[1:] {
-		if x, k := rendered["explicit"], rendered[kind]; fmt.Sprint(x) != fmt.Sprint(k) {
-			t.Fatalf("%s: engines attribute cycles differently:\nexplicit %q\n%s %q", sp.Name, x, kind, k)
-		}
+	if x, s := rendered["explicit"], rendered["symbolic"]; fmt.Sprint(x) != fmt.Sprint(s) {
+		t.Fatalf("%s: engines attribute cycles differently:\nexplicit %q\nsymbolic %q", sp.Name, x, s)
 	}
 	return hits
 }
@@ -200,9 +164,9 @@ func twoLoopSpec(toggle bool) *protocol.Spec {
 // isolate: a group with transitions in two SCCs, self-loop SCCs, and empty
 // inputs.
 func TestSCCGroupsEdgeCases(t *testing.T) {
-	for _, kind := range attributionKinds {
+	for _, kind := range engineKinds {
 		// Both toggle groups lie inside both components.
-		e := attributionEngine(t, kind, twoLoopSpec(true))
+		e := engineOfKind(t, kind, twoLoopSpec(true))
 		gs := e.ActionGroups()
 		sccs := e.CyclicSCCs(gs, e.Universe())
 		if got := fmt.Sprint(e.SCCGroups(gs, sccs)); len(sccs) != 2 || got != "[[0 1] [0 1]]" {
@@ -211,7 +175,7 @@ func TestSCCGroupsEdgeCases(t *testing.T) {
 
 		// Self-loops: each x=0 state is its own component, entered only by
 		// the no-op group (index 0); the reset group leaves every one.
-		e = attributionEngine(t, kind, twoLoopSpec(false))
+		e = engineOfKind(t, kind, twoLoopSpec(false))
 		gs = e.ActionGroups()
 		sccs = e.CyclicSCCs(gs, e.Universe())
 		if got := fmt.Sprint(e.SCCGroups(gs, sccs)); len(sccs) != 2 || got != "[[0] [0]]" {
@@ -268,7 +232,7 @@ func closedGoudaAcharya(t *testing.T) *protocol.Spec {
 }
 
 // TestUnresolvableCycleMessagePinned pins the ErrUnresolvableCycle message
-// byte for byte on every engine kind. The message names the first SCC in
+// byte for byte on both engines. The message names the first SCC in
 // CyclicSCCs order and, within it, the first group of the protocol whose
 // groupmates reach I, so it changes whenever cycle attribution reorders or
 // drops a group.
@@ -279,12 +243,12 @@ func TestUnresolvableCycleMessagePinned(t *testing.T) {
 		"symbolic": prefix + "cycle through state [2 2 2 1 0] uses group m0==0 && m1==0 && m4==0 -> m0 := 2",
 	}
 	sp := closedGoudaAcharya(t)
-	for _, kind := range attributionKinds {
-		_, err := core.AddConvergence(attributionEngine(t, kind, sp), core.Options{})
+	for _, kind := range engineKinds {
+		_, err := core.AddConvergence(engineOfKind(t, kind, sp), core.Options{})
 		if err == nil {
 			t.Fatalf("%s: synthesis succeeded, want ErrUnresolvableCycle", kind)
 		}
-		if w := want[strings.TrimSuffix(kind, "-ref")]; err.Error() != w {
+		if w := want[kind]; err.Error() != w {
 			t.Fatalf("%s: error\n  %q\nwant\n  %q", kind, err.Error(), w)
 		}
 	}

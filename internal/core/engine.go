@@ -132,26 +132,6 @@ type MutableSets interface {
 	OrSrcInto(dst Set, g Group)
 }
 
-// RankScheme is an optional Engine capability: report whether the engine's
-// SetReferenceRanks knob requests the reference rank scheme. In reference
-// mode ComputeRanks pre-images the whole accumulated explored set each
-// BFS level (the pre-tuning fixpoint) and AddConvergence disables the
-// rank-∞ fast-fail, so the scheme doubles as the differential oracle and
-// the benchmark baseline — exactly like the explicit engine's
-// SetReferenceKernels and the symbolic engine's SetReferenceFixpoints.
-// Both schemes produce identical ranks (the frontier BFS discovers every
-// state at the same level as the whole-set BFS) and byte-identical
-// protocols; the knob-matrix differential tests pin that.
-type RankScheme interface {
-	ReferenceRanks() bool
-}
-
-// referenceRanks reports whether e requests the reference rank scheme.
-func referenceRanks(e Engine) bool {
-	rs, ok := e.(RankScheme)
-	return ok && rs.ReferenceRanks()
-}
-
 // SrcIntersecter is an optional Engine capability: report whether g's
 // source set intersects X without materializing a copy of the source set.
 // Equivalent to !IsEmpty(And(GroupSrc(g), X)) but allocation-free; the
@@ -171,7 +151,7 @@ func srcIntersects(e Engine, g Group, X Set) bool {
 
 // PairwiseSCCGroups answers SCCGroups with one GroupFromTo(g, scc, scc)
 // probe per (SCC, group) pair. It defines SCCGroups' result and serves
-// engines whose probes need no batching, and reference modes as oracle.
+// engines whose probes need no batching, and the tests as an oracle.
 func PairwiseSCCGroups(e Engine, gs []Group, sccs []Set) [][]int {
 	out := make([][]int, len(sccs))
 	for i, scc := range sccs {
@@ -248,7 +228,7 @@ type Stats struct {
 	// whose groups were all already known doomed (skipped without a cycle
 	// check), doomed groups excluded from incremental retry, and terminal
 	// aborts once every candidate reaching a remaining deadlock was
-	// doomed. Always 0 under SetReferenceRanks.
+	// doomed.
 	RankInfinityFastFail int
 }
 

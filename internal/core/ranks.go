@@ -80,12 +80,9 @@ func ComputeRanks(e Engine, pim []Group) (ranks []Set, infinite Set) {
 // monotone basin often compresses far below the thin frontier shell —
 // measured on coloring-11, imaging the basin is ~40% cheaper than the
 // frontier regardless of how the preimage itself is routed.
-// SetReferenceRanks pins the whole-set pre-image unconditionally as the
-// differential oracle and bench baseline (see RankScheme).
 func computeRanks(ctx context.Context, e Engine, pim []Group) (ranks []Set, infinite Set, err error) {
 	I := e.Invariant()
 	ms, inPlace := e.(MutableSets)
-	refRanks := referenceRanks(e)
 	explored := I
 	if inPlace {
 		explored = ms.Dup(I)
@@ -97,7 +94,7 @@ func computeRanks(ctx context.Context, e Engine, pim []Group) (ranks []Set, infi
 			return ranks, e.Diff(e.Universe(), explored), err
 		}
 		base := frontier
-		if refRanks || e.SetSize(explored) < e.SetSize(frontier) {
+		if e.SetSize(explored) < e.SetSize(frontier) {
 			base = explored
 		}
 		var next Set

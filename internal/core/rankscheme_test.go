@@ -12,18 +12,22 @@ import (
 	"stsyn/internal/symbolic"
 )
 
-// Rank-scheme differential battery: the frontier-based rank BFS plus the
-// rank-∞ fast-fail short-circuits (the default) against SetReferenceRanks
-// (the whole-set scheme with no short-circuits) on the same engine. The
-// two must be observationally identical — same rank partition, same
-// synthesized protocol, same failure with the same message — because the
-// fast-fail paths only skip work whose outcome is already decided
-// (alone-in-SCC doom proofs, deterministic futile-batch replay, terminal
-// aborts with the deadlock set already final). Any drift here means one
-// of those proofs is wrong.
+// Rank-scheme differential battery: the frontier-based rank BFS against a
+// whole-set BFS written here, and AddConvergence with the rank-∞
+// fast-fail short-circuits (the default) against the same run with them
+// switched off (AddConvergenceNoFastFail). Each pair must be
+// observationally identical — same rank partition, same synthesized
+// protocol, same failure with the same message — because the fast-fail
+// paths only skip work whose outcome is already decided (alone-in-SCC
+// doom proofs, deterministic futile-batch replay, terminal aborts with the
+// deadlock set already final). Any drift here means one of those proofs
+// is wrong.
 
-// rankEngine builds one engine with the given rank scheme pinned.
-func rankEngine(t *testing.T, kind string, sp *protocol.Spec, ref bool) core.Engine {
+// engineKinds are the engines the core batteries run on.
+var engineKinds = []string{"explicit", "symbolic"}
+
+// engineOfKind builds a default engine of the given kind for sp.
+func engineOfKind(t *testing.T, kind string, sp *protocol.Spec) core.Engine {
 	t.Helper()
 	switch kind {
 	case "explicit":
@@ -31,14 +35,12 @@ func rankEngine(t *testing.T, kind string, sp *protocol.Spec, ref bool) core.Eng
 		if err != nil {
 			t.Fatalf("explicit.New: %v", err)
 		}
-		e.SetReferenceRanks(ref)
 		return e
 	case "symbolic":
 		e, err := symbolic.New(sp)
 		if err != nil {
 			t.Fatalf("symbolic.New: %v", err)
 		}
-		e.SetReferenceRanks(ref)
 		return e
 	default:
 		t.Fatalf("unknown engine kind %q", kind)
@@ -51,43 +53,39 @@ func setsEqual(e core.Engine, a, b core.Set) bool {
 	return e.IsEmpty(e.Diff(a, b)) && e.IsEmpty(e.Diff(b, a))
 }
 
-// checkRankParity pins the frontier BFS against the whole-set scheme on
-// one engine kind: identical rank partition, identical ∞ set.
+// wholeSetRanks is the paper's ComputeRanks read literally: every BFS
+// level pre-images the whole explored set.
+func wholeSetRanks(e core.Engine, pim []core.Group) (ranks []core.Set, infinite core.Set) {
+	explored := e.Invariant()
+	ranks = []core.Set{explored}
+	for {
+		next := e.Diff(e.Pre(pim, explored), explored)
+		if e.IsEmpty(next) {
+			return ranks, e.Diff(e.Universe(), explored)
+		}
+		ranks = append(ranks, next)
+		explored = e.Or(explored, next)
+	}
+}
+
+// checkRankParity pins ComputeRanks against the whole-set BFS on one
+// engine kind: identical rank partition, identical ∞ set.
 func checkRankParity(t *testing.T, kind string, sp *protocol.Spec) {
 	t.Helper()
-	fast := rankEngine(t, kind, sp, false)
-	ref := rankEngine(t, kind, sp, true)
-
-	franks, finf := core.ComputeRanks(fast, core.Pim(fast, fast.ActionGroups()))
-	rranks, rinf := core.ComputeRanks(ref, core.Pim(ref, ref.ActionGroups()))
+	e := engineOfKind(t, kind, sp)
+	pim := core.Pim(e, e.ActionGroups())
+	franks, finf := core.ComputeRanks(e, pim)
+	rranks, rinf := wholeSetRanks(e, pim)
 	if len(franks) != len(rranks) {
-		t.Fatalf("%s: rank counts differ: frontier %d vs reference %d", kind, len(franks), len(rranks))
+		t.Fatalf("%s: rank counts differ: frontier %d vs whole-set %d", kind, len(franks), len(rranks))
 	}
-	// The partitions live on separate engine instances; state counts and
-	// per-engine extensional checks against a re-run pin them. Re-running
-	// ComputeRanks on the fast engine with the reference scheme flipped on
-	// compares the two schemes inside one engine, where sets are
-	// comparable directly.
 	for i := range franks {
-		if fast.States(franks[i]) != ref.States(rranks[i]) {
-			t.Fatalf("%s: rank %d sizes differ: frontier %v vs reference %v",
-				kind, i, fast.States(franks[i]), ref.States(rranks[i]))
+		if !setsEqual(e, franks[i], rranks[i]) {
+			t.Fatalf("%s: rank %d sets differ between frontier and whole-set BFS", kind, i)
 		}
 	}
-	if fast.States(finf) != ref.States(rinf) {
-		t.Fatalf("%s: ∞-rank sizes differ: frontier %v vs reference %v",
-			kind, fast.States(finf), ref.States(rinf))
-	}
-	type rankScheme interface{ SetReferenceRanks(bool) }
-	fast.(rankScheme).SetReferenceRanks(true)
-	rranks2, rinf2 := core.ComputeRanks(fast, core.Pim(fast, fast.ActionGroups()))
-	for i := range franks {
-		if !setsEqual(fast, franks[i], rranks2[i]) {
-			t.Fatalf("%s: rank %d sets differ between frontier and reference BFS", kind, i)
-		}
-	}
-	if !setsEqual(fast, finf, rinf2) {
-		t.Fatalf("%s: ∞ sets differ between frontier and reference BFS", kind)
+	if !setsEqual(e, finf, rinf) {
+		t.Fatalf("%s: ∞ sets differ between frontier and whole-set BFS", kind)
 	}
 }
 
@@ -100,10 +98,13 @@ type synthOutcome struct {
 	fastFail int
 }
 
-func runScheme(t *testing.T, kind string, sp *protocol.Spec, ref bool, opts core.Options) synthOutcome {
+func runScheme(t *testing.T, kind string, sp *protocol.Spec, fastFail bool, opts core.Options) synthOutcome {
 	t.Helper()
-	e := rankEngine(t, kind, sp, ref)
-	res, err := core.AddConvergence(e, opts)
+	run := core.AddConvergenceNoFastFail
+	if fastFail {
+		run = core.AddConvergence
+	}
+	res, err := run(engineOfKind(t, kind, sp), opts)
 	out := synthOutcome{keys: make(map[protocol.Key]bool)}
 	if err != nil {
 		out.err = err.Error()
@@ -119,16 +120,16 @@ func runScheme(t *testing.T, kind string, sp *protocol.Spec, ref bool, opts core
 	return out
 }
 
-// checkSchemeParity runs AddConvergence under both rank schemes on one
-// engine kind and requires identical outcomes, including failure
-// messages byte for byte. The reference run must report zero fast-fail
-// short-circuits — that counter is the knob's contract.
+// checkSchemeParity runs AddConvergence with and without the fast-fail on
+// one engine kind and requires identical outcomes, including failure
+// messages byte for byte. The run without it must report zero fast-fail
+// short-circuits — that counter is the switch's contract.
 func checkSchemeParity(t *testing.T, kind string, sp *protocol.Spec, opts core.Options) int {
 	t.Helper()
-	fast := runScheme(t, kind, sp, false, opts)
-	ref := runScheme(t, kind, sp, true, opts)
+	fast := runScheme(t, kind, sp, true, opts)
+	ref := runScheme(t, kind, sp, false, opts)
 	if fast.err != ref.err {
-		t.Fatalf("%s: errors differ:\n  fast-fail: %q\n  reference: %q", kind, fast.err, ref.err)
+		t.Fatalf("%s: errors differ:\n  fast-fail:    %q\n  no fast-fail: %q", kind, fast.err, ref.err)
 	}
 	if fast.pass != ref.pass || fast.maxRank != ref.maxRank {
 		t.Fatalf("%s: result stats differ: pass %d/%d, max rank %d/%d",
@@ -143,14 +144,14 @@ func checkSchemeParity(t *testing.T, kind string, sp *protocol.Spec, opts core.O
 		}
 	}
 	if ref.fastFail != 0 {
-		t.Fatalf("%s: reference run reported %d fast-fail events, want 0", kind, ref.fastFail)
+		t.Fatalf("%s: run without fast-fail reported %d fast-fail events, want 0", kind, ref.fastFail)
 	}
 	return fast.fastFail
 }
 
 // namedCorpus are the hand-picked specs: the paper's small case studies
 // plus matching-4, where every schedule fails with deadlocks remaining —
-// the failing path must replay the reference failure exactly.
+// the failing path must replay the failure without fast-fail exactly.
 func namedCorpus() []*protocol.Spec {
 	return []*protocol.Spec{
 		protocols.TokenRing(3, 2),
@@ -163,7 +164,7 @@ func namedCorpus() []*protocol.Spec {
 
 func TestFrontierRanksMatchReference(t *testing.T) {
 	for _, sp := range namedCorpus() {
-		for _, kind := range []string{"explicit", "symbolic"} {
+		for _, kind := range engineKinds {
 			checkRankParity(t, kind, sp)
 		}
 	}
@@ -174,7 +175,7 @@ func TestFrontierRanksMatchReference(t *testing.T) {
 	}
 	for iter := 0; iter < iters; iter++ {
 		sp := specgen.RandomSpec(rng, iter%2 == 1)
-		for _, kind := range []string{"explicit", "symbolic"} {
+		for _, kind := range engineKinds {
 			checkRankParity(t, kind, sp)
 		}
 	}
@@ -187,7 +188,7 @@ func TestRankSchemeOutcomeParity(t *testing.T) {
 		for _, sched := range schedules {
 			for _, resolution := range []core.CycleResolution{core.BatchResolution, core.IncrementalResolution} {
 				opts := core.Options{Schedule: sched, CycleResolution: resolution}
-				for _, kind := range []string{"explicit", "symbolic"} {
+				for _, kind := range engineKinds {
 					checkSchemeParity(t, kind, sp, opts)
 				}
 			}
@@ -207,7 +208,7 @@ func TestRankSchemeParityRandom(t *testing.T) {
 		if iter%3 == 0 {
 			opts.CycleResolution = core.IncrementalResolution
 		}
-		for _, kind := range []string{"explicit", "symbolic"} {
+		for _, kind := range engineKinds {
 			checkSchemeParity(t, kind, sp, opts)
 		}
 	}
@@ -249,7 +250,7 @@ func FuzzRankSchemeEquivalence(f *testing.F) {
 		if rng.Intn(2) == 1 {
 			opts.CycleResolution = core.IncrementalResolution
 		}
-		for _, kind := range []string{"explicit", "symbolic"} {
+		for _, kind := range engineKinds {
 			checkSchemeParity(t, kind, sp, opts)
 		}
 	})

@@ -117,7 +117,7 @@ type Result struct {
 	AvgSCCSize  float64 // average representation size of detected SCCs
 	SCCCount    int
 	// RankInfinityFastFail counts the rank-∞ fast-fail short-circuits the
-	// run took (see Stats.RankInfinityFastFail); 0 under SetReferenceRanks.
+	// run took (see Stats.RankInfinityFastFail).
 	RankInfinityFastFail int
 }
 
@@ -155,8 +155,8 @@ type synthesizer struct {
 	// all-doomed batches, skipping doomed incremental retries, and
 	// aborting outright once every candidate reaching a remaining deadlock
 	// is doomed — each of which provably leaves the synthesized protocol
-	// and the final deadlock set byte-identical (see DESIGN.md). nil under
-	// SetReferenceRanks: the oracle grinds through the futile work.
+	// and the final deadlock set byte-identical (see DESIGN.md). nil when
+	// the run has fast-fail switched off (see addConvergence).
 	doomed   map[protocol.Key]bool
 	doomGrew bool // a doom was learned since the last hopelessness check
 	hopeless bool // terminal fast-fail: no remaining deadlock can ever be resolved
@@ -164,7 +164,7 @@ type synthesizer struct {
 	// futile remembers candidate batches (by fingerprint) whose cycle check
 	// flagged every group and whose retries recovered nothing, so the batch
 	// left pss untouched. Valid while pss is unchanged — accept() clears it
-	// — and replayed as "skip the whole batch". nil under SetReferenceRanks.
+	// — and replayed as "skip the whole batch". nil when fast-fail is off.
 	futile map[string]struct{}
 
 	held []Set // retained roots released when synthesis ends
@@ -218,6 +218,15 @@ func (s *synthesizer) releaseAll() {
 // ranking), then — for strong convergence — the three passes of Section V.
 // On success the returned protocol is stabilizing to I by construction.
 func AddConvergence(e Engine, opts Options) (*Result, error) {
+	return addConvergence(e, opts, true)
+}
+
+// addConvergence is AddConvergence with the rank-∞ fast-fail switchable.
+// With fastFail off the run grinds through every batch the fast-fail
+// would skip; the outcome must not change. The switch is interleaved with
+// the algorithm, so the differential tests reach it through
+// export_test.go rather than through a copy of the algorithm.
+func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 	start := time.Now() //lint:ignore determinism wall-clock result timing only; never feeds a synthesis decision
 	res := &Result{}
 	defer func() {
@@ -252,7 +261,7 @@ func AddConvergence(e Engine, opts Options) (*Result, error) {
 		logf:     opts.Log,
 	}
 	s.reg, _ = e.(RefRegistry)
-	if !referenceRanks(e) {
+	if fastFail {
 		s.doomed = make(map[protocol.Key]bool)
 		s.futile = make(map[string]struct{})
 	}

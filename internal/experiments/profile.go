@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// BenchOpts configures the JSON engine benchmarks (stsyn-bench -json):
-// instance sizing, case selection and the per-leg pprof capture behind
+// BenchOpts configures the JSON engine ledgers (stsyn-bench -json):
+// instance sizing, case selection and the per-case pprof capture behind
 // scripts/profile.sh. The zero value is the full benchmark with no
 // profiling.
 type BenchOpts struct {
@@ -21,12 +21,12 @@ type BenchOpts struct {
 	// against a full baseline want them all.
 	Case string
 	// CPUDir, when non-empty, captures a CPU profile of the first rep of
-	// every leg into <dir>/<case>.<leg>.cpu.pprof.
+	// every case into <dir>/<case>.cpu.pprof.
 	CPUDir string
 	// MemDir, when non-empty, writes an allocation profile after the first
-	// rep of every leg into <dir>/<case>.<leg>.mem.pprof. Go's allocs
-	// profile is cumulative over the process, so attribute sites with a
-	// single -case; the per-leg files still separate the capture points.
+	// rep of every case into <dir>/<case>.mem.pprof. Go's allocs profile
+	// is cumulative over the process, so attribute sites with a single
+	// -case; the per-case files still separate the capture points.
 	MemDir string
 }
 
@@ -35,7 +35,7 @@ func (o BenchOpts) keep(name string) bool {
 	return o.Case == "" || strings.Contains(name, o.Case)
 }
 
-// startCPU begins a per-leg CPU profile capture when enabled for this rep,
+// startCPU begins a per-case CPU profile capture when enabled for this rep,
 // and returns the stop function (a no-op when disabled). Profile I/O
 // failures are diagnostics about diagnostics: they go to stderr and the
 // benchmark carries on unprofiled.
@@ -59,8 +59,8 @@ func (o BenchOpts) startCPU(name string, firstRep bool) func() {
 	}
 }
 
-// writeMem writes the allocation profile after a leg when enabled for this
-// rep.
+// writeMem writes the allocation profile after a case's rep when enabled
+// for this rep.
 func (o BenchOpts) writeMem(name string, firstRep bool) {
 	if o.MemDir == "" || !firstRep {
 		return

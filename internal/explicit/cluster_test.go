@@ -57,15 +57,14 @@ func mixedDeltaSpec() *protocol.Spec {
 }
 
 // perGroupTrim is the cycle-core fixpoint computed one group at a time
-// with the per-state reference scans: the oracle for trimCore's delta
-// clusters.
+// with the per-state scans: the oracle for trimCore's delta clusters.
 func perGroupTrim(e *Engine, gs []core.Group, w *Bitset) *Bitset {
 	cc := w.Clone()
 	for {
 		succ, pred := NewBitset(e.n), NewBitset(e.n)
 		for _, g := range gs {
-			e.preRef(g.(*group), cc, succ)
-			e.postRef(g.(*group), cc, pred)
+			e.preScan(g.(*group), cc, succ)
+			e.postScan(g.(*group), cc, pred)
 		}
 		next := succ.And(pred).And(cc)
 		if next.Equal(cc) {

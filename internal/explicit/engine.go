@@ -77,19 +77,6 @@ type Engine struct {
 	labels    []int32
 	nextLabel int32
 
-	// refKernels switches the image operations back to the per-state
-	// reference scans the word-level kernels replaced. The scans are kept
-	// as the oracle for the kernel-equivalence tests and as the "before"
-	// leg of the benchmark baseline.
-	refKernels bool
-
-	// refRanks requests the reference rank scheme from core: whole-set
-	// pre-images in ComputeRanks and no rank-∞ fast-fail in
-	// AddConvergence (see core.RankScheme). The engine's own kernels are
-	// unaffected — the knob exists so differential tests can pin the
-	// frontier BFS and fast-fail against the oracle on this engine too.
-	refRanks bool
-
 	ctx context.Context // current synthesis context (nil = no cancellation)
 
 	stats  core.Stats
@@ -111,21 +98,6 @@ type KernelStats struct {
 
 // KernelStats returns a snapshot of the kernel counters.
 func (e *Engine) KernelStats() KernelStats { return e.kstats }
-
-// SetReferenceKernels switches the image operations between the word-level
-// delta-shift kernels (default) and the retained per-state reference scans.
-// The reference scans are bit-for-bit equivalent but walk one source index
-// at a time; tests use them as the oracle and the benchmark baseline uses
-// them as the "before" measurement.
-func (e *Engine) SetReferenceKernels(on bool) { e.refKernels = on }
-
-// SetReferenceRanks selects the reference rank scheme (whole-set BFS, no
-// fast-fail) in the core algorithms; the default frontier scheme produces
-// byte-identical protocols. See core.RankScheme.
-func (e *Engine) SetReferenceRanks(on bool) { e.refRanks = on }
-
-// ReferenceRanks implements core.RankScheme.
-func (e *Engine) ReferenceRanks() bool { return e.refRanks }
 
 // SetContext makes long-running operations (SCC enumeration) observe ctx:
 // once it is cancelled they stop early and return partial results. The
@@ -354,22 +326,17 @@ func (e *Engine) GroupSrc(g core.Group) core.Set {
 // that materialize nothing at all. Groups whose source set is tiny relative
 // to the universe (see sparse) instead keep the per-state scan, which beats
 // a full word pass there; the choice is per group and bit-for-bit neutral.
-// The per-state reference scans are retained behind SetReferenceKernels as
-// the oracle.
 
 func (e *Engine) GroupDstInto(g core.Group, X core.Set) bool {
 	gg, x := g.(*group), X.(*Bitset)
 	e.kstats.GroupTests++
-	if e.refKernels {
-		return e.groupDstIntoRef(gg, x)
-	}
 	// Dense fast path: probe the group's first transition before paying for
 	// the word scan (the common case during recovery is a hit).
 	if x.Get(gg.srcBase + gg.delta) {
 		return true
 	}
 	if e.sparse(gg) {
-		return e.groupDstIntoRef(gg, x)
+		return e.groupDstIntoScan(gg, x)
 	}
 	// ∃ src ∈ src(g): src+Δ ∈ X  ⇔  src(g) ∩ shift(X, −Δ) ≠ ∅.
 	return x.ShiftIntersects(-gg.sdelta, gg.srcSet, nil)
@@ -378,15 +345,12 @@ func (e *Engine) GroupDstInto(g core.Group, X core.Set) bool {
 func (e *Engine) GroupFromTo(g core.Group, from, to core.Set) bool {
 	gg, f, t := g.(*group), from.(*Bitset), to.(*Bitset)
 	e.kstats.GroupTests++
-	if e.refKernels {
-		return e.groupFromToRef(gg, f, t)
-	}
 	// Dense fast path: probe the group's first transition.
 	if f.Get(gg.srcBase) && t.Get(gg.srcBase+gg.delta) {
 		return true
 	}
 	if e.sparse(gg) {
-		return e.groupFromToRef(gg, f, t)
+		return e.groupFromToScan(gg, f, t)
 	}
 	// ∃ src ∈ from ∩ src(g): src+Δ ∈ to  ⇔  shift(to, −Δ) ∩ src(g) ∩ from ≠ ∅.
 	return t.ShiftIntersects(-gg.sdelta, gg.srcSet, f)
@@ -401,10 +365,9 @@ func (e *Engine) GroupFromTo(g core.Group, from, to core.Set) bool {
 // both endpoints carry the same label of this call. It starts at the
 // group's first transition, as GroupFromTo does, and stops once the group
 // has hit every component. With a single component there is nothing to
-// label: its pairwise probe never costs more than the walk. Reference
-// mode keeps the per-pair probes as the oracle.
+// label: its pairwise probe never costs more than the walk.
 func (e *Engine) SCCGroups(gs []core.Group, sccs []core.Set) [][]int {
-	if e.refKernels || len(sccs) <= 1 {
+	if len(sccs) <= 1 {
 		return core.PairwiseSCCGroups(e, gs, sccs)
 	}
 	out := make([][]int, len(sccs))
@@ -464,12 +427,9 @@ func (e *Engine) labelSCCs(sccs []core.Set) ([]int32, int32) {
 func (e *Engine) Pre(gs []core.Group, X core.Set) core.Set {
 	x := X.(*Bitset)
 	e.kstats.PreCalls++
-	if e.refKernels {
-		return e.scanGroups(gs, nil, func(gg *group, acc *Bitset) { e.preRef(gg, x, acc) })
-	}
 	return e.scanGroups(gs, e.fillSources, func(gg *group, acc *Bitset) {
 		if e.sparse(gg) {
-			e.preRef(gg, x, acc)
+			e.preScan(gg, x, acc)
 			return
 		}
 		acc.OrShiftMasked(x, -gg.sdelta, gg.srcSet)
@@ -479,12 +439,9 @@ func (e *Engine) Pre(gs []core.Group, X core.Set) core.Set {
 func (e *Engine) Post(gs []core.Group, X core.Set) core.Set {
 	x := X.(*Bitset)
 	e.kstats.PostCalls++
-	if e.refKernels {
-		return e.scanGroups(gs, nil, func(gg *group, acc *Bitset) { e.postRef(gg, x, acc) })
-	}
 	return e.scanGroups(gs, e.fillDests, func(gg *group, acc *Bitset) {
 		if e.sparse(gg) {
-			e.postRef(gg, x, acc)
+			e.postScan(gg, x, acc)
 			return
 		}
 		acc.OrShiftMasked(x, gg.sdelta, e.dests(gg))
@@ -508,9 +465,12 @@ func (e *Engine) fillDests(gg *group) {
 	}
 }
 
-// --- Per-state reference scans (test oracle / benchmark baseline) --------
+// --- Per-state scans (the sparse-group path) ----------------------------
+//
+// One state test per source of the group: the image and probe path of the
+// groups sparse selects, where it beats a word pass over the universe.
 
-func (e *Engine) preRef(gg *group, x, acc *Bitset) {
+func (e *Engine) preScan(gg *group, x, acc *Bitset) {
 	e.forEachSrc(gg, func(src uint64) bool {
 		if x.Get(src + gg.delta) {
 			acc.Set(src)
@@ -519,7 +479,7 @@ func (e *Engine) preRef(gg *group, x, acc *Bitset) {
 	})
 }
 
-func (e *Engine) postRef(gg *group, x, acc *Bitset) {
+func (e *Engine) postScan(gg *group, x, acc *Bitset) {
 	e.forEachSrc(gg, func(src uint64) bool {
 		if x.Get(src) {
 			acc.Set(src + gg.delta)
@@ -528,7 +488,7 @@ func (e *Engine) postRef(gg *group, x, acc *Bitset) {
 	})
 }
 
-func (e *Engine) groupDstIntoRef(gg *group, x *Bitset) bool {
+func (e *Engine) groupDstIntoScan(gg *group, x *Bitset) bool {
 	found := false
 	e.forEachSrc(gg, func(src uint64) bool {
 		if x.Get(src + gg.delta) {
@@ -540,7 +500,7 @@ func (e *Engine) groupDstIntoRef(gg *group, x *Bitset) bool {
 	return found
 }
 
-func (e *Engine) groupFromToRef(gg *group, f, t *Bitset) bool {
+func (e *Engine) groupFromToScan(gg *group, f, t *Bitset) bool {
 	found := false
 	e.forEachSrc(gg, func(src uint64) bool {
 		if f.Get(src) && t.Get(src+gg.delta) {
@@ -559,11 +519,6 @@ func (e *Engine) groupFromToRef(gg *group, f, t *Bitset) bool {
 func (e *Engine) GroupSrcIntersects(g core.Group, X core.Set) bool {
 	gg := g.(*group)
 	e.kstats.GroupTests++
-	if e.refKernels {
-		// Mirror the generic path's clone-and-intersect allocation profile
-		// so reference-mode benchmarks measure the pre-kernel engine.
-		return !e.sources(gg).Clone().And(X.(*Bitset)).IsEmpty()
-	}
 	return e.sources(gg).Intersects(X.(*Bitset))
 }
 

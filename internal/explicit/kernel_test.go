@@ -110,8 +110,8 @@ func componentFingerprints(sccs []core.Set) []string {
 }
 
 // checkKernelEquivalence asserts that the word-level shift kernels agree
-// bit-for-bit with the retained per-state reference scans on sp: image
-// operations, group tests and the trimmed SCC search, over the invariant,
+// bit-for-bit with the oracle (refEngine) on sp: image operations, group
+// tests, the trimmed SCC search and cycle attribution, over the invariant,
 // its complement, the universe, the empty set and a batch of random sets.
 func checkKernelEquivalence(t *testing.T, sp *protocol.Spec, seed int64) {
 	t.Helper()
@@ -119,11 +119,7 @@ func checkKernelEquivalence(t *testing.T, sp *protocol.Spec, seed int64) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	ref, err := New(sp, 0)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ref.SetReferenceKernels(true)
+	ref := newRefEngine(t, sp)
 
 	rng := rand.New(rand.NewSource(seed))
 	sets := []*Bitset{
@@ -155,8 +151,8 @@ func checkKernelEquivalence(t *testing.T, sp *protocol.Spec, seed int64) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("set %d: trimmed CyclicSCCs %v != reference %v", si, got, want)
 		}
-		// Cycle attribution: the labelled walk against the reference
-		// engine's per-pair probes, over the components and over x alone.
+		// Cycle attribution: the labelled walk against the oracle's
+		// per-pair probes, over the components and over x alone.
 		for _, ss := range [][]core.Set{sccs, {x}} {
 			if got, want := kern.SCCGroups(kgs, ss), ref.SCCGroups(rgs, ss); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("set %d: SCCGroups kernel %v != reference %v", si, got, want)
@@ -268,11 +264,7 @@ func TestSCCGroupsLabelWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := New(sp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.SetReferenceKernels(true)
+	ref := newRefEngine(t, sp)
 	gs := append(kern.ActionGroups(), kern.CandidateGroups()...)
 	sccs := kern.CyclicSCCs(kern.ActionGroups(), kern.Not(kern.Invariant()))
 	if len(sccs) < 2 {

@@ -49,9 +49,9 @@ func (e *Engine) workerCount(ngroups int) int {
 // scanGroups partitions gs across workers; each worker folds its share into
 // a private bitset via fold, and the privates are OR-merged pairwise. Chunks
 // past the end of gs leave their private nil and take no part in the merge.
-// fill (nil when fold reads no lazy cache) fills the per-group caches fold
-// reads. It runs for every group before the workers start: a group may
-// appear in gs more than once, and two workers must not fill one cache.
+// fill fills the per-group caches fold reads. It runs for every group
+// before the workers start: a group may appear in gs more than once, and
+// two workers must not fill one cache.
 func (e *Engine) scanGroups(gs []core.Group, fill func(g *group), fold func(g *group, acc *Bitset)) *Bitset {
 	nw := e.workerCount(len(gs))
 	if nw == 1 {
@@ -61,10 +61,8 @@ func (e *Engine) scanGroups(gs []core.Group, fill func(g *group), fold func(g *g
 		}
 		return acc
 	}
-	if fill != nil {
-		for _, g := range gs {
-			fill(g.(*group))
-		}
+	for _, g := range gs {
+		fill(g.(*group))
 	}
 	privates := make([]*Bitset, nw)
 	var wg sync.WaitGroup

@@ -10,19 +10,14 @@ import (
 // restricted to states in within that contain a cycle: size ≥ 2, or a
 // single state with a self-loop. The search space is first trimmed to its
 // cycle core with word-level fixpoints, then searched with an iterative
-// Tarjan DFS — except in reference mode, which runs Tarjan on the untrimmed
-// space to measure the true pre-kernel engine.
+// Tarjan DFS.
 func (e *Engine) CyclicSCCs(gs []core.Group, within core.Set) []core.Set {
 	t0 := time.Now() //lint:ignore determinism wall-clock SCC stats only; synthesis results never read them
 	defer func() {
 		e.stats.SCCTime += time.Since(t0) //lint:ignore determinism wall-clock SCC stats only; synthesis results never read them
 		e.stats.SCCCalls++
 	}()
-	w := within.(*Bitset)
-	if e.refKernels {
-		return e.tarjanSCCs(gs, w)
-	}
-	cc := e.trimCore(gs, w)
+	cc := e.trimCore(gs, within.(*Bitset))
 	if cc == nil || cc.IsEmpty() {
 		return nil
 	}

@@ -21,7 +21,7 @@ import (
 // collection: a ref produced by a method on the store target itself when
 // the target's type is an unexported struct of the package under analysis
 // (the scratch-context rule), and a ref produced by a bdd.Manager that was
-// created locally with bdd.New and stored into the target (a throwaway
+// created locally with bdd.New and stored into the target (a private
 // manager owned by the value it fills). Persistent, collecting managers
 // never satisfy either rule, so stores on the engine's hot paths still
 // require Keep.

@@ -3,10 +3,12 @@ package symbolic
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"stsyn/internal/bdd"
 	"stsyn/internal/core"
+	"stsyn/internal/explicit"
 	"stsyn/internal/protocol"
 	"stsyn/internal/protocols"
 	"stsyn/internal/specgen"
@@ -29,12 +31,13 @@ func clusterCorpus() []*protocol.Spec {
 	return specs
 }
 
-// randomStateSet is the union of a few random states of sp.
-func randomStateSet(e *Engine, rng *rand.Rand) core.Set {
+// randomStateSet is the union of a few random states of sp on e.
+func randomStateSet(e core.Engine, rng *rand.Rand) core.Set {
+	sp := e.Spec()
 	out := e.Empty()
-	s := make(protocol.State, len(e.sp.Vars))
+	s := make(protocol.State, len(sp.Vars))
 	for i := 0; i < 1+rng.Intn(12); i++ {
-		for id, v := range e.sp.Vars {
+		for id, v := range sp.Vars {
 			s[id] = rng.Intn(v.Dom)
 		}
 		out = e.Or(out, e.Singleton(s))
@@ -42,14 +45,58 @@ func randomStateSet(e *Engine, rng *rand.Rand) core.Set {
 	return out
 }
 
-// exported renders sets as manager-independent snapshots, so sets of two
-// engines over one spec compare by value.
-func exported(e *Engine, sets []core.Set) string {
-	out := make([][]uint64, len(sets))
-	for i, s := range sets {
-		out[i] = e.ExportSet(s)
+// components renders sets as engine-independent text: each set as its
+// ascending state indices, the sets sorted, so the components of two
+// engines compare by value regardless of enumeration order.
+func components(e core.Engine, sets []core.Set) string {
+	ix := protocol.NewIndexer(e.Spec())
+	s := make(protocol.State, len(e.Spec().Vars))
+	out := make([]string, len(sets))
+	for i, x := range sets {
+		var idx []uint64
+		for j := uint64(0); j < ix.Len(); j++ {
+			ix.Decode(j, s)
+			if !e.IsEmpty(e.And(x, e.Singleton(s))) {
+				idx = append(idx, j)
+			}
+		}
+		out[i] = fmt.Sprint(idx)
 	}
+	sort.Strings(out)
 	return fmt.Sprint(out)
+}
+
+// preFold is the ranking pre-image computed one group at a time on the
+// persistent manager with a linear Or fold: the oracle for Pre's
+// write-cube clusters on the scratch manager.
+func preFold(e *Engine, gs []core.Group, x bdd.Ref) bdd.Ref {
+	out := bdd.False
+	for _, g := range gs {
+		gg := g.(*group)
+		out = e.m.Or(out, e.m.And(gg.src, e.m.Restrict(x, gg.writeCube)))
+	}
+	return out
+}
+
+// fixpointTrim is the cycle core of v by full recomputation: each round
+// keeps the states of v with a successor and a predecessor in v, imaged
+// one group at a time on the persistent manager. It is the oracle for the
+// clustered trim with its retired clusters.
+func fixpointTrim(e *Engine, gs []core.Group, v bdd.Ref) bdd.Ref {
+	for {
+		next := e.m.And(v, e.m.And(preFold(e, gs, v), e.Post(gs, v).(bdd.Ref)))
+		if next == v {
+			return v
+		}
+		v = next
+	}
+}
+
+// trimmed runs the engine's trim of x over gs and returns the core on the
+// persistent manager.
+func trimmed(e *Engine, gs []core.Group, x bdd.Ref) bdd.Ref {
+	c := e.newSCCCtx(gs)
+	return c.copyBack(c.trim(c.copyIn(x, c.memo)), make(map[bdd.Ref]bdd.Ref))
 }
 
 // TestClusterCorpusSharesWriteCubes pins the property the random half of
@@ -77,10 +124,10 @@ func TestClusterCorpusSharesWriteCubes(t *testing.T) {
 }
 
 // TestClusteredImagesMatchReference compares the write-cube clustered
-// cycle detection and ranking pre-image against the per-group reference
-// modes, over random group subsets and restriction sets: CyclicSCCs must
-// return the same components in the same order as under
-// SetReferenceFixpoints, and Pre the same set as under SetReferenceRanks.
+// cycle detection and ranking pre-image against oracles, over random group
+// subsets and restriction sets: CyclicSCCs must return the components the
+// explicit engine finds (as state sets), the trim the core fixpointTrim
+// computes, and Pre the set preFold computes.
 func TestClusteredImagesMatchReference(t *testing.T) {
 	found := 0
 	for si, sp := range clusterCorpus() {
@@ -88,42 +135,45 @@ func TestClusteredImagesMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refFix, _ := New(sp)
-		refFix.SetReferenceFixpoints(true)
-		refRanks, _ := New(sp)
-		refRanks.SetReferenceRanks(true)
+		ex, err := explicit.New(sp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exByKey := make(map[protocol.Key]core.Group)
+		for _, g := range append(ex.ActionGroups(), ex.CandidateGroups()...) {
+			exByKey[g.ProtocolGroup().Key()] = g
+		}
 
 		all := append(def.ActionGroups(), def.CandidateGroups()...)
-		allFix := append(refFix.ActionGroups(), refFix.CandidateGroups()...)
-		allRanks := append(refRanks.ActionGroups(), refRanks.CandidateGroups()...)
 		rng := rand.New(rand.NewSource(int64(si)))
 		for trial := 0; trial < 6; trial++ {
-			var gs, gsFix, gsRanks []core.Group
-			for i := range all {
+			var gs, exGs []core.Group
+			for _, g := range all {
 				if trial == 0 || rng.Intn(trial+1) == 0 {
-					gs = append(gs, all[i])
-					gsFix = append(gsFix, allFix[i])
-					gsRanks = append(gsRanks, allRanks[i])
+					gs = append(gs, g)
+					exGs = append(exGs, exByKey[g.ProtocolGroup().Key()])
 				}
 			}
 			seed := rng.Int63()
-			sets := func(e *Engine) []core.Set {
+			sets := func(e core.Engine) []core.Set {
 				r := rand.New(rand.NewSource(seed))
 				return []core.Set{e.Universe(), e.Not(e.Invariant()), e.Invariant(), randomStateSet(e, r), randomStateSet(e, r)}
 			}
-			xs, xsFix, xsRanks := sets(def), sets(refFix), sets(refRanks)
+			xs, exXs := sets(def), sets(ex)
 			for xi := range xs {
 				sccs := def.CyclicSCCs(gs, xs[xi])
 				found += len(sccs)
-				got := exported(def, sccs)
-				want := exported(refFix, refFix.CyclicSCCs(gsFix, xsFix[xi]))
+				got := components(def, sccs)
+				want := components(ex, ex.CyclicSCCs(exGs, exXs[xi]))
 				if got != want {
-					t.Fatalf("%s trial %d set %d: clustered CyclicSCCs differ from SetReferenceFixpoints", sp.Name, trial, xi)
+					t.Fatalf("%s trial %d set %d: clustered CyclicSCCs %s, explicit engine %s", sp.Name, trial, xi, got, want)
 				}
-				got = exported(def, []core.Set{def.Pre(gs, xs[xi])})
-				want = exported(refRanks, []core.Set{refRanks.Pre(gsRanks, xsRanks[xi])})
-				if got != want {
-					t.Fatalf("%s trial %d set %d: clustered Pre differs from SetReferenceRanks", sp.Name, trial, xi)
+				x := xs[xi].(bdd.Ref)
+				if trimmed(def, gs, x) != fixpointTrim(def, gs, x) {
+					t.Fatalf("%s trial %d set %d: clustered trim differs from the full-recompute fixpoint", sp.Name, trial, xi)
+				}
+				if def.Pre(gs, x) != preFold(def, gs, x) {
+					t.Fatalf("%s trial %d set %d: clustered Pre differs from the per-group fold", sp.Name, trial, xi)
 				}
 			}
 		}

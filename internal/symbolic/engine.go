@@ -57,15 +57,12 @@ type Engine struct {
 	// `within` set near-free. The memo is flushed when the persistent
 	// manager collects (Ref reuse would poison it); the manager itself is
 	// dropped and rebuilt when the scratch store outgrows its watermark.
-	// nil until first use and under SetReferenceFixpoints, which restores
-	// the per-call throwaway scheme.
+	// nil until first use.
 	sccScratch *scratchMgr
 
 	nextBits float64 // number of next-state bit levels (for state counting)
 
-	compactAt int  // node threshold for Compact (0 = default)
-	refFix    bool // use the full-recompute fixpoint oracle (no dropping/frontier)
-	refRanks  bool // persistent-manager ranking/recovery images + whole-set rank BFS (oracle)
+	compactAt int // node threshold for Compact (0 = default)
 
 	ctx context.Context // current synthesis context (nil = no cancellation)
 
@@ -79,16 +76,6 @@ func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 
 // canceled reports whether the current synthesis context is cancelled.
 func (e *Engine) canceled() bool { return e.ctx != nil && e.ctx.Err() != nil }
-
-// SetReferenceFixpoints restores the pre-tuning scheme of cycle
-// detection: full-image recomputation in the trim loops (no dead-group
-// dropping), whole-set preimages in the skeleton's SCC grow loop (no
-// frontier), and a private throwaway scratch manager per CyclicSCCs call
-// (no retained warm operation cache or copy memo). The default path is
-// observationally identical — the knob-matrix differential tests pin
-// that — and exists as the benchmark baseline and oracle, exactly like
-// the explicit engine's SetReferenceKernels.
-func (e *Engine) SetReferenceFixpoints(on bool) { e.refFix = on }
 
 var _ core.Engine = (*Engine)(nil)
 var _ core.ContextAware = (*Engine)(nil)
@@ -169,11 +156,6 @@ func (e *Engine) intern(pg protocol.Group) *group {
 	return g
 }
 
-// preGroup returns src ∧ X[written := new values].
-func (e *Engine) preGroup(g *group, x bdd.Ref) bdd.Ref {
-	return e.m.And(g.src, e.m.Restrict(x, g.writeCube))
-}
-
 // postGroup returns the successors of the sources of g inside X.
 func (e *Engine) postGroup(g *group, x bdd.Ref) bdd.Ref {
 	srcs := e.m.And(x, g.src)
@@ -219,23 +201,16 @@ func (e *Engine) GroupSrcIntersects(g core.Group, X core.Set) bool {
 // Restrict(X, wcube), so each probe is one node-free Intersects walk of
 // src against an operand that depends on the group only through its write
 // cube: the scratch manager's operation cache shares it across the groups
-// of one cube, and the per-group work builds no nodes. SetReferenceRanks
-// keeps the node-building persistent-manager probes as the oracle.
+// of one cube, and the per-group work builds no nodes.
 
 func (e *Engine) GroupDstInto(g core.Group, X core.Set) bool {
 	gg := g.(*group)
-	if e.refRanks {
-		return e.preGroup(gg, X.(bdd.Ref)) != bdd.False
-	}
 	c := e.imgCtx()
 	return c.srcMeets(gg, c.m.Restrict(c.copyIn(X.(bdd.Ref), c.memo), c.copyIn(gg.writeCube, c.memo)))
 }
 
 func (e *Engine) GroupFromTo(g core.Group, from, to core.Set) bool {
 	gg := g.(*group)
-	if e.refRanks {
-		return e.m.And(from.(bdd.Ref), e.preGroup(gg, to.(bdd.Ref))) != bdd.False
-	}
 	c := e.imgCtx()
 	return c.srcMeets(gg, c.fromTo(c.copyIn(from.(bdd.Ref), c.memo), c.copyIn(to.(bdd.Ref), c.memo), gg))
 }
@@ -246,20 +221,6 @@ func (e *Engine) GroupFromTo(g core.Group, from, to core.Set) bool {
 // write cube.
 func (e *Engine) SCCGroups(gs []core.Group, sccs []core.Set) [][]int {
 	return core.PairwiseSCCGroups(e, gs, sccs)
-}
-
-func (e *Engine) Pre(gs []core.Group, X core.Set) core.Set {
-	x := X.(bdd.Ref)
-	if e.refRanks {
-		// Reference scheme: the linear persistent-manager fold, kept
-		// byte-for-byte as the PR-6 baseline the bench compares against.
-		out := bdd.False
-		for _, g := range gs {
-			out = e.m.Or(out, e.preGroup(g.(*group), x))
-		}
-		return out
-	}
-	return e.preScratch(gs, x)
 }
 
 func (e *Engine) Post(gs []core.Group, X core.Set) core.Set {
@@ -362,20 +323,6 @@ func (e *Engine) Retain(a core.Set) core.Set {
 
 // Release implements core.RefRegistry.
 func (e *Engine) Release(a core.Set) { e.m.Release(a.(bdd.Ref)) }
-
-// foldScratchStats accumulates a dropped scratch manager's counters so
-// SpaceStats reflects the whole engine, not just the persistent store.
-func (e *Engine) foldScratchStats(m *bdd.Manager) {
-	st := m.Stats()
-	e.scratch.ops += st.Ops
-	e.scratch.hits += st.CacheHits
-	e.scratch.misses += st.CacheMisses
-	e.scratch.evicts += st.CacheEvictions
-	e.scratch.dropped += uint64(st.PeakLiveNodes)
-	if st.PeakLiveNodes > e.scratch.peak {
-		e.scratch.peak = st.PeakLiveNodes
-	}
-}
 
 // SpaceStats implements core.SpaceReporter. Node-store occupancy figures
 // (live, allocated, table load) describe the persistent manager; the cache

@@ -31,9 +31,8 @@ func errClass(err error) error {
 
 // FuzzReorderEquivalence pins that the variable order is a pure
 // performance choice: for a random spec and a random permutation of its
-// variables, synthesis under the permuted order — with the default and the
-// reference fixpoints — must agree with the default-order oracle on both
-// the protocol key set and the error class.
+// variables, synthesis under the permuted order must agree with the
+// default-order oracle on both the protocol key set and the error class.
 func FuzzReorderEquivalence(f *testing.F) {
 	for _, seed := range []int64{3, 11, 42, 512, 4096} {
 		f.Add(seed)
@@ -42,7 +41,7 @@ func FuzzReorderEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		sp := specgen.RandomSpec(rng, rng.Intn(2) == 1)
 
-		run := func(order []int, cfg func(*symbolic.Engine)) (map[protocol.Key]bool, error) {
+		run := func(order []int) (map[protocol.Key]bool, error) {
 			var (
 				e   *symbolic.Engine
 				err error
@@ -55,9 +54,6 @@ func FuzzReorderEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatalf("generator produced an invalid spec: %v", err)
 			}
-			if cfg != nil {
-				cfg(e)
-			}
 			res, err := core.AddConvergence(e, core.Options{})
 			if err != nil {
 				return nil, err
@@ -65,31 +61,19 @@ func FuzzReorderEquivalence(f *testing.F) {
 			return protoKeys(res.Protocol), nil
 		}
 
-		wantKeys, wantErr := run(nil, nil)
-
-		perm := rand.New(rand.NewSource(seed ^ 0x5eed)).Perm(len(sp.Vars))
-		configs := []struct {
-			name  string
-			order []int
-			cfg   func(*symbolic.Engine)
-		}{
-			{"permuted", perm, nil},
-			{"permuted-reference", perm, func(e *symbolic.Engine) { e.SetReferenceFixpoints(true) }},
+		wantKeys, wantErr := run(nil)
+		keys, err := run(rand.New(rand.NewSource(seed ^ 0x5eed)).Perm(len(sp.Vars)))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("permuted: error mismatch: got %v, oracle %v", err, wantErr)
 		}
-		for _, c := range configs {
-			keys, err := run(c.order, c.cfg)
-			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("%s: error mismatch: got %v, oracle %v", c.name, err, wantErr)
+		if err != nil {
+			if !errors.Is(errClass(err), errClass(wantErr)) {
+				t.Fatalf("permuted: error class diverged: got %q, oracle %q", err, wantErr)
 			}
-			if err != nil {
-				if !errors.Is(errClass(err), errClass(wantErr)) {
-					t.Fatalf("%s: error class diverged: got %q, oracle %q", c.name, err, wantErr)
-				}
-				continue
-			}
-			if !sameKeySets(keys, wantKeys) {
-				t.Fatalf("%s: synthesized protocol diverged from the default-order oracle", c.name)
-			}
+			return
+		}
+		if !sameKeySets(keys, wantKeys) {
+			t.Fatal("permuted: synthesized protocol diverged from the default-order oracle")
 		}
 	})
 }

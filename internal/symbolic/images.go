@@ -5,28 +5,13 @@ import (
 	"stsyn/internal/core"
 )
 
-// This file holds the tuned ranking/recovery image path: the engine-level
+// This file holds the ranking/recovery image path: the engine-level
 // Pre and the per-group probe operations run on the retained cycle-
 // detection scratch manager (warm operation cache, persistent→scratch copy
 // memo) instead of the persistent store, and Pre's per-write-cube-cluster
-// terms are combined through a balanced union tree. SetReferenceRanks
-// restores the per-group persistent-manager linear folds as the
-// differential oracle. Results are
-// identical either way: the probes return booleans, and Pre's result is a
-// canonical BDD of the same function regardless of where — and in which
-// association order — it was computed.
-
-// SetReferenceRanks restores the pre-tuning ranking/recovery scheme: the
-// whole-set rank BFS in core.ComputeRanks (via the core.RankScheme
-// capability), persistent-manager image computation with linear Or folds
-// here, and no rank-∞ fast-fail in core.AddConvergence. The default path
-// is observationally identical — the knob-matrix differential tests pin
-// byte-identical protocols — and exists as the benchmark baseline and
-// oracle, exactly like SetReferenceKernels and SetReferenceFixpoints.
-func (e *Engine) SetReferenceRanks(on bool) { e.refRanks = on }
-
-// ReferenceRanks implements core.RankScheme.
-func (e *Engine) ReferenceRanks() bool { return e.refRanks }
+// terms are combined through a balanced union tree. The probes return
+// booleans, and Pre's result is a canonical BDD of the same function
+// regardless of where — and in which association order — it was computed.
 
 // orTree unions terms through a balanced pairwise reduction. The linear
 // fold conjures one ever-growing accumulator that every next Or must
@@ -63,14 +48,14 @@ func (e *Engine) imgCtx() *sccCtx {
 	return &sccCtx{e: e, m: s.m, memo: s.memo}
 }
 
-// preScratch computes Pre(gs, X) on the retained scratch manager and
-// migrates the result back to the persistent store. The groups are
-// clustered by write cube as in CyclicSCCs, so x is cofactored once per
-// distinct cube instead of once per group.
-func (e *Engine) preScratch(gs []core.Group, x bdd.Ref) bdd.Ref {
+// Pre computes the pre-image on the retained scratch manager and migrates
+// the result back to the persistent store. The groups are clustered by
+// write cube as in CyclicSCCs, so X is cofactored once per distinct cube
+// instead of once per group.
+func (e *Engine) Pre(gs []core.Group, X core.Set) core.Set {
 	c := e.imgCtx()
 	c.addClustered(gs)
-	out := c.preTree(c.copyIn(x, c.memo))
+	out := c.pre(c.copyIn(X.(bdd.Ref), c.memo))
 	return c.copyBack(out, make(map[bdd.Ref]bdd.Ref))
 }
 

@@ -11,23 +11,22 @@ import (
 // persistent store: the trim and enumeration fixpoints generate enormous
 // amounts of garbage, and keeping it off the persistent manager makes
 // reclamation trivial — a scratch manager is dropped wholesale, the
-// coarsest possible collection. By default the engine retains one scratch
-// manager across calls (scratchMgr: warm operation cache, copy memo) and
-// drops it at a small live-node watermark; reference mode uses a private
-// throwaway manager per call instead. Inputs are migrated in and the
-// (small) resulting SCC predicates are migrated back. The main manager's mark-and-sweep collector complements this: it
-// reclaims garbage that accumulates on the persistent store across calls,
-// and CyclicSCCs' entry is one of its safe points.
+// coarsest possible collection. The engine retains one scratch manager
+// across calls (scratchMgr: warm operation cache, copy memo) and drops it
+// at a small live-node watermark. Inputs are migrated in and the (small)
+// resulting SCC predicates are migrated back. The main manager's
+// mark-and-sweep collector complements this: it reclaims garbage that
+// accumulates on the persistent store across calls, and CyclicSCCs' entry
+// is one of its safe points.
 type sccCtx struct {
-	e         *Engine
-	m         *bdd.Manager
-	src       []bdd.Ref           // per cluster: union of the members' source states
-	wcube     []bdd.Ref           // per cluster: the members' written-values literal cube
-	wvars     []bdd.Ref           // per cluster: positive cube of the written bit levels
-	memo      map[bdd.Ref]bdd.Ref // persistent → scratch copy memo for this call
-	throwaway bool                // manager is private to this call (reference mode)
-	qbuf      []bdd.Ref           // reused term buffer for balanced union trees
-	pbuf      []bdd.Ref           // second term buffer (trim's image direction)
+	e     *Engine
+	m     *bdd.Manager
+	src   []bdd.Ref           // per cluster: union of the members' source states
+	wcube []bdd.Ref           // per cluster: the members' written-values literal cube
+	wvars []bdd.Ref           // per cluster: positive cube of the written bit levels
+	memo  map[bdd.Ref]bdd.Ref // persistent → scratch copy memo for this call
+	qbuf  []bdd.Ref           // reused term buffer for balanced union trees
+	pbuf  []bdd.Ref           // second term buffer (trim's image direction)
 }
 
 // scratchMgr is the cycle-detection scratch manager an engine retains
@@ -94,14 +93,9 @@ func (e *Engine) dropScratch() {
 	e.sccScratch = nil
 }
 
-// settleScratch folds a finished call's counters: throwaway managers are
-// folded in full (they are dropped now), the retained manager by delta
-// since the previous settle.
+// settleScratch folds a finished call's counters of the retained manager
+// into the engine totals, by delta since the previous settle.
 func (e *Engine) settleScratch(ctx *sccCtx) {
-	if ctx.throwaway {
-		e.foldScratchStats(ctx.m)
-		return
-	}
 	s := e.sccScratch
 	if s == nil || s.m != ctx.m {
 		return
@@ -117,13 +111,12 @@ func (e *Engine) settleScratch(ctx *sccCtx) {
 	s.prev = st
 }
 
-// newSCCCtx builds a scratch context over the given groups. The default
-// path reuses the engine's retained scratch manager, whose memo makes
-// migrating previously seen persistent refs (the group cubes, the
-// recurring `within` set) a map lookup; SetReferenceFixpoints restores a
-// private throwaway manager per call.
+// newSCCCtx builds a scratch context over the given groups on the
+// engine's retained scratch manager, whose memo makes migrating previously
+// seen persistent refs (the group cubes, the recurring `within` set) a map
+// lookup.
 //
-// The default path also clusters the groups by write cube. The cube fixes
+// The context clusters the groups by write cube. The cube fixes
 // the written bits (and with them the written bit levels), so over a
 // cluster whose members' sources union to src
 //
@@ -132,22 +125,10 @@ func (e *Engine) settleScratch(ctx *sccCtx) {
 //
 // — the union of the members' images, by distributivity. Every fixpoint
 // below then runs per cluster: coloring-13's 702 action and candidate
-// groups share 39 write cubes. Reference mode keeps one cluster per group
-// as the oracle.
+// groups share 39 write cubes.
 func (e *Engine) newSCCCtx(gs []core.Group) *sccCtx {
-	ctx := &sccCtx{e: e}
-	if e.refFix {
-		ctx.m = bdd.New(e.m.NumVars())
-		ctx.memo = make(map[bdd.Ref]bdd.Ref)
-		ctx.throwaway = true
-		for _, g := range gs {
-			ctx.addCluster(g.(*group))
-		}
-		return ctx
-	}
 	s := e.ensureScratch()
-	ctx.m = s.m
-	ctx.memo = s.memo
+	ctx := &sccCtx{e: e, m: s.m, memo: s.memo}
 	ctx.addClustered(gs)
 	return ctx
 }
@@ -162,15 +143,10 @@ func (c *sccCtx) addClustered(gs []core.Group) {
 			continue
 		}
 		byCube[gg.writeCube] = len(c.src)
-		c.addCluster(gg)
+		c.src = append(c.src, c.copyIn(gg.src, c.memo))
+		c.wcube = append(c.wcube, c.copyIn(gg.writeCube, c.memo))
+		c.wvars = append(c.wvars, c.copyIn(gg.writeVars, c.memo))
 	}
-}
-
-// addCluster opens a cluster holding g alone.
-func (c *sccCtx) addCluster(g *group) {
-	c.src = append(c.src, c.copyIn(g.src, c.memo))
-	c.wcube = append(c.wcube, c.copyIn(g.writeCube, c.memo))
-	c.wvars = append(c.wvars, c.copyIn(g.writeVars, c.memo))
 }
 
 // union returns f ∨ g on the scratch manager.
@@ -279,27 +255,16 @@ func (c *sccCtx) skeletonEnum(v0 bdd.Ref, emit func(bdd.Ref)) {
 		}
 		fw, s2, n2 := c.skelForward(t.v, n)
 		// SCC(n) = states of FW that reach n: grow backwards inside FW.
-		// The preimage distributes over union, so the default path feeds
-		// only the newly added frontier back in; the reference oracle
-		// recomputes the preimage of the whole partial SCC every round.
+		// The preimage distributes over union, so only the newly added
+		// frontier is fed back in.
 		scc := n
-		if c.e.refFix {
-			for {
-				grow := c.m.Diff(c.m.And(c.pre(scc), fw), scc)
-				if grow == bdd.False {
-					break
-				}
-				scc = c.m.Or(scc, grow)
+		for front := n; ; {
+			grow := c.m.Diff(c.m.And(c.pre(front), fw), scc)
+			if grow == bdd.False {
+				break
 			}
-		} else {
-			for front := n; ; {
-				grow := c.m.Diff(c.m.And(c.pre(front), fw), scc)
-				if grow == bdd.False {
-					break
-				}
-				scc = c.m.Or(scc, grow)
-				front = grow
-			}
+			scc = c.m.Or(scc, grow)
+			front = grow
 		}
 		emit(scc)
 		// Remainder outside the forward set, spined by the predecessor of
@@ -323,25 +288,11 @@ func (c *sccCtx) skeletonEnum(v0 bdd.Ref, emit func(bdd.Ref)) {
 }
 
 // pre returns the states with a transition into x; post the states
-// reachable from x in one step. The tuned path batches the per-cluster
-// terms through a balanced union tree (orTree) — canonicity makes the
-// result identical to the linear fold the reference oracle keeps, but the
-// operands stay comparably sized instead of one accumulator growing with
-// every Or.
+// reachable from x in one step. Both batch the per-cluster terms through a
+// balanced union tree (orTree): canonicity makes the result identical to a
+// linear fold, but the operands stay comparably sized instead of one
+// accumulator growing with every Or.
 func (c *sccCtx) pre(x bdd.Ref) bdd.Ref {
-	if c.e.refFix {
-		out := bdd.False
-		for i := range c.src {
-			out = c.m.Or(out, c.m.And(c.src[i], c.m.Restrict(x, c.wcube[i])))
-		}
-		return out
-	}
-	return c.preTree(x)
-}
-
-// preTree is the tuned pre: per-cluster terms through a balanced union
-// tree.
-func (c *sccCtx) preTree(x bdd.Ref) bdd.Ref {
 	terms := c.qbuf[:0]
 	for i := range c.src {
 		if q := c.m.And(c.src[i], c.m.Restrict(x, c.wcube[i])); q != bdd.False {
@@ -368,34 +319,12 @@ func (c *sccCtx) image(i int, x bdd.Ref) bdd.Ref {
 // first — it is cheaper per iteration and empties the common acyclic case
 // — then both directions interleave to convergence.
 //
-// The default path exploits monotonicity twice. The core only shrinks, so
-// a cluster with no internal transition in the current core — no source
+// The trim exploits monotonicity twice. The core only shrinks, so a
+// cluster with no internal transition in the current core — no source
 // state in it whose successor is also in it — can never regain one and is
 // dropped from every later iteration; that one liveness condition covers
-// both image directions. SetReferenceFixpoints(true) restores the oracle
-// that recomputes full images over all groups every iteration.
+// both image directions.
 func (c *sccCtx) trim(v bdd.Ref) bdd.Ref {
-	if c.e.refFix {
-		for {
-			next := c.m.And(v, c.pre(v))
-			if next == v || c.e.canceled() {
-				break
-			}
-			v = next
-		}
-		if v == bdd.False || c.e.canceled() {
-			return v
-		}
-		for {
-			next := c.m.And(v, c.m.And(c.pre(v), c.post(v)))
-			if next == v || c.e.canceled() {
-				break
-			}
-			v = next
-		}
-		return v
-	}
-
 	act := make([]int, len(c.src))
 	for i := range act {
 		act[i] = i
@@ -463,13 +392,6 @@ func (c *sccCtx) trim(v bdd.Ref) bdd.Ref {
 }
 
 func (c *sccCtx) post(x bdd.Ref) bdd.Ref {
-	if c.e.refFix {
-		out := bdd.False
-		for i := range c.src {
-			out = c.m.Or(out, c.image(i, x))
-		}
-		return out
-	}
 	terms := c.qbuf[:0]
 	for i := range c.src {
 		if q := c.image(i, x); q != bdd.False {

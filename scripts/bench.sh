@@ -1,25 +1,34 @@
 #!/usr/bin/env sh
-# Regenerates the committed engine perf baselines (BENCH_explicit.json,
-# BENCH_symbolic.json) and runs the Go micro-benchmarks for the explicit
-# delta-shift kernels, the trimmed Tarjan SCC search and the labelled cycle
+# Regenerates the committed engine ledgers (BENCH_explicit.json,
+# BENCH_symbolic.json: per case the default engine's fastest of three runs,
+# their spread, the host and the protocol digest) and runs the Go
+# micro-benchmarks for the explicit delta-shift kernels (against the
+# per-state oracle), the trimmed Tarjan SCC search and the labelled cycle
 # attribution. Run from the repository root.
 #
-#   scripts/bench.sh            # full baselines + micro-benchmarks
-#   scripts/bench.sh -quick     # CI smoke, prints both JSON docs to stdout
+#   scripts/bench.sh            # full ledgers + micro-benchmarks
+#   scripts/bench.sh -quick     # CI smoke: both JSON docs on stdout, one
+#                               # iteration of each micro-benchmark on stderr
 #   scripts/bench.sh -check     # full fresh run compared against the
-#                               # committed baselines; non-zero exit on
+#                               # committed ledgers; non-zero exit on
 #                               # regression (slowdown beyond tolerance,
-#                               # verification failure, protocol drift)
+#                               # failing or unverified case, digest drift,
+#                               # committed case missing)
 set -eu
 cd "$(dirname "$0")/.."
 
 mode="${1:-}"
 
+# The explicit-engine micro-benchmarks: kernel vs per-state oracle image
+# ops, trimmed Tarjan SCC, labelled vs pairwise cycle attribution.
+microbench='BenchmarkP(ost|re)|BenchmarkGroupDstInto|BenchmarkCyclicSCCs|BenchmarkSCCGroups'
+
 go build ./...
 
 if [ "$mode" = "-quick" ]; then
-    # Quick mode prints only the JSON documents (CI captures stdout). When
-    # BENCH_PROFILE_DIR is set, per-leg pprof files land there too — CI
+    # Quick mode prints only the JSON documents on stdout (CI captures it)
+    # and the one-iteration micro-benchmark run on stderr. When
+    # BENCH_PROFILE_DIR is set, per-case pprof files land there too — CI
     # uploads them so a slow-looking smoke run arrives with its own
     # profiles attached.
     profflags=""
@@ -31,6 +40,7 @@ if [ "$mode" = "-quick" ]; then
     go run ./cmd/stsyn-bench -json -quick $profflags
     # shellcheck disable=SC2086
     go run ./cmd/stsyn-bench -json -engine symbolic -quick $profflags
+    go test -run='^$' -bench="$microbench" -benchtime=1x -benchmem ./internal/explicit >&2
     exit 0
 fi
 
@@ -38,8 +48,8 @@ if [ "$mode" = "-check" ]; then
     # Regression guard: fresh full runs vs the committed baselines. The
     # tolerance is deliberately loose (3x) — wall-clock on shared runners
     # is noisy; this catches order-of-magnitude regressions and any
-    # correctness drift (unverified or mismatched protocols), not jitter.
-    # The symbolic two-ring legs run close to a minute each, where
+    # correctness drift (failing or unverified cases, digest drift), not
+    # jitter. The symbolic two-ring reps run close to a minute each, where
     # scheduler drift compounds in absolute terms, so that one case gets a
     # looser per-case override. Allocation growth past 2x the committed
     # totals is reported as non-gating warnings on stderr.
@@ -58,7 +68,4 @@ go run ./cmd/stsyn-bench -json -engine symbolic | tee BENCH_symbolic.json.tmp
 mv BENCH_symbolic.json.tmp BENCH_symbolic.json
 echo "wrote BENCH_symbolic.json" >&2
 
-# Micro-benchmarks: kernel vs reference image ops, trimmed Tarjan SCC,
-# labelled vs pairwise cycle attribution.
-go test -run='^$' -bench='BenchmarkP(ost|re)|BenchmarkGroupDstInto|BenchmarkCyclicSCCs|BenchmarkSCCGroups' \
-    -benchmem ./internal/explicit
+go test -run='^$' -bench="$microbench" -benchmem ./internal/explicit

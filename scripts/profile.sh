@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Per-leg CPU/allocation profiling for one engine-benchmark case study,
+# CPU/allocation profiling for one engine-ledger case study,
 # printed as top-N pprof tables ready to paste into EXPERIMENTS.md. This is
 # the profile-first loop behind the perf work: run it, read where the time
 # actually goes, and only then touch the engine.
@@ -8,8 +8,8 @@
 #   scripts/profile.sh symbolic coloring-11 20  # top 20 rows
 #   scripts/profile.sh explicit two-ring
 #
-# The raw pprof files (one per benchmark leg, first rep of each) and the
-# benchmark JSON are left in the temp directory printed at the end, for
+# The raw pprof files (one per matched case, first rep of each) and the
+# ledger JSON are left in the temp directory printed at the end, for
 # deeper digging with `go tool pprof`.
 set -eu
 cd "$(dirname "$0")/.."
@@ -30,10 +30,10 @@ found=0
 for p in "$dir"/*.cpu.pprof; do
     [ -e "$p" ] || continue
     found=1
-    leg=$(basename "$p" .cpu.pprof)
+    name=$(basename "$p" .cpu.pprof)
     for view in flat cum; do
         echo
-        echo "### $leg — CPU, top $topn by $view"
+        echo "### $name — CPU, top $topn by $view"
         echo '```'
         if [ "$view" = cum ]; then
             go tool pprof -top -cum -nodecount="$topn" "$p" 2>/dev/null
@@ -46,9 +46,9 @@ done
 
 for p in "$dir"/*.mem.pprof; do
     [ -e "$p" ] || continue
-    leg=$(basename "$p" .mem.pprof)
+    name=$(basename "$p" .mem.pprof)
     echo
-    echo "### $leg — allocations, top $topn by alloc_space"
+    echo "### $name — allocations, top $topn by alloc_space"
     echo '```'
     go tool pprof -top -sample_index=alloc_space -nodecount="$topn" "$p" 2>/dev/null
     echo '```'
