@@ -24,8 +24,6 @@ import (
 	"stsyn"
 	"stsyn/internal/channel"
 	"stsyn/internal/cli"
-	"stsyn/internal/gcl"
-	"stsyn/internal/protocol"
 )
 
 func main() {
@@ -43,19 +41,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var sp *protocol.Spec
-	var err error
-	switch {
-	case *specFile != "":
-		var data []byte
-		if data, err = os.ReadFile(*specFile); err == nil {
-			sp, err = gcl.Parse(*specFile, string(data))
-		}
-	case *proto != "":
-		sp, err = cli.BuildSpec(*proto, *k, *dom)
-	default:
-		err = fmt.Errorf("need -p <name> or -spec <file> (built-ins: %s)", cli.Names)
-	}
+	sp, err := cli.LoadSpec(*proto, *specFile, *k, *dom)
 	fatalIf(err)
 
 	factory := func() (stsyn.Engine, error) { return stsyn.NewEngine(sp) }

@@ -14,69 +14,65 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"stsyn"
 	"stsyn/internal/cli"
-	"stsyn/internal/gcl"
-	"stsyn/internal/protocol"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams; it returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("stsyn-verify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		proto    = flag.String("p", "", "built-in protocol: "+cli.Names)
-		specFile = flag.String("spec", "", "read the protocol from a .stsyn file instead")
-		k        = flag.Int("k", 4, "number of processes (parametric built-ins)")
-		dom      = flag.Int("dom", 3, "variable domain size (token ring)")
-		engine   = flag.String("engine", "auto", "state-space engine: auto, explicit, symbolic")
-		witness  = flag.Bool("witness", true, "print a concrete cycle when one exists")
+		proto    = fs.String("p", "", "built-in protocol: "+cli.Names)
+		specFile = fs.String("spec", "", "read the protocol from a .stsyn file instead")
+		k        = fs.Int("k", 4, "number of processes (parametric built-ins)")
+		dom      = fs.Int("dom", 3, "variable domain size (token ring)")
+		engine   = fs.String("engine", "auto", "state-space engine: auto, explicit, symbolic")
+		witness  = fs.Bool("witness", true, "print a concrete cycle when one exists")
 	)
-	flag.Parse()
-
-	var sp *protocol.Spec
-	var err error
-	switch {
-	case *specFile != "":
-		var data []byte
-		data, err = os.ReadFile(*specFile)
-		if err == nil {
-			sp, err = gcl.Parse(*specFile, string(data))
-		}
-	case *proto != "":
-		sp, err = cli.BuildSpec(*proto, *k, *dom)
-	default:
-		err = fmt.Errorf("need -p <name> or -spec <file> (built-ins: %s)", cli.Names)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	fatalIf(err)
 
-	var e stsyn.Engine
-	switch *engine {
-	case "explicit":
-		e, err = stsyn.NewExplicitEngine(sp, 0)
-	case "symbolic":
-		e, err = stsyn.NewSymbolicEngine(sp)
-	default:
-		e, err = stsyn.NewEngine(sp)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "stsyn-verify:", err)
+		return 1
 	}
-	fatalIf(err)
+
+	sp, err := cli.LoadSpec(*proto, *specFile, *k, *dom)
+	if err != nil {
+		return fail(err)
+	}
+	e, err := cli.NewEngine(sp, *engine)
+	if err != nil {
+		return fail(err)
+	}
 
 	gs := e.ActionGroups()
 	n, _ := sp.NumStates()
-	fmt.Printf("protocol %s: %d processes, %d states, |I| = %.6g\n\n",
+	fmt.Fprintf(stdout, "protocol %s: %d processes, %d states, |I| = %.6g\n\n",
 		sp.Name, len(sp.Procs), n, e.States(e.Invariant()))
 
 	failures := 0
 	check := func(name string, v stsyn.Verdict) bool {
 		if v.OK {
-			fmt.Printf("  %-22s OK\n", name)
+			fmt.Fprintf(stdout, "  %-22s OK\n", name)
 			return true
 		}
 		failures++
-		fmt.Printf("  %-22s FAIL: %s", name, v.Reason)
+		fmt.Fprintf(stdout, "  %-22s FAIL: %s", name, v.Reason)
 		if v.Witness != nil {
-			fmt.Printf(" (witness %v)", v.Witness)
+			fmt.Fprintf(stdout, " (witness %v)", v.Witness)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		return false
 	}
 
@@ -88,31 +84,25 @@ func main() {
 	// Silence is informational: token-circulation protocols are correctly
 	// non-silent, while matching/coloring should quiesce in I.
 	if v := stsyn.VerifySilent(e, gs); v.OK {
-		fmt.Printf("  %-22s yes\n", "silent in I")
+		fmt.Fprintf(stdout, "  %-22s yes\n", "silent in I")
 	} else {
-		fmt.Printf("  %-22s no (a group stays enabled, e.g. at %v)\n", "silent in I", v.Witness)
+		fmt.Fprintf(stdout, "  %-22s no (a group stays enabled, e.g. at %v)\n", "silent in I", v.Witness)
 	}
 
 	if !cyclesOK && *witness {
 		sccs := e.CyclicSCCs(gs, e.Not(e.Invariant()))
 		if len(sccs) > 0 {
-			fmt.Println("\nconcrete non-progress cycle:")
+			fmt.Fprintln(stdout, "\nconcrete non-progress cycle:")
 			for _, s := range stsyn.CycleWitness(e, gs, sccs[0]) {
-				fmt.Printf("  %v\n", s)
+				fmt.Fprintf(stdout, "  %v\n", s)
 			}
 		}
 	}
 
 	if failures > 0 {
-		fmt.Printf("\n%d properties violated\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "\n%d properties violated\n", failures)
+		return 1
 	}
-	fmt.Println("\nall properties hold: the protocol is strongly self-stabilizing")
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stsyn-verify:", err)
-		os.Exit(1)
-	}
+	fmt.Fprintln(stdout, "\nall properties hold: the protocol is strongly self-stabilizing")
+	return 0
 }

@@ -56,6 +56,10 @@ type Engine interface {
 
 	// GroupSrc returns the set of source states of g's transitions.
 	GroupSrc(g Group) Set
+	// GroupSrcIntersects reports whether g's source set intersects X:
+	// !IsEmpty(And(GroupSrc(g), X)) without materializing either set. The
+	// recovery-candidate filter calls it once per candidate group.
+	GroupSrcIntersects(g Group, X Set) bool
 	// GroupDstInto reports whether some transition of g ends in X.
 	GroupDstInto(g Group, X Set) bool
 	// GroupFromTo reports whether some transition of g starts in from and
@@ -95,19 +99,27 @@ type Engine interface {
 	// BDD nodes / total transition count).
 	ProgramSize(gs []Group) int
 
+	// ExportSet serializes a to plain words for a cross-run memo, as a
+	// caller-owned copy; ImportSet builds a fresh engine-owned Set from such
+	// words, and reports ok=false for a snapshot it cannot honor (wrong
+	// universe size, wrong variable order, malformed words) so the caller
+	// recomputes. The explicit engine copies its bitset words; the symbolic
+	// engine serializes the BDD node list behind a variable-order
+	// fingerprint.
+	ExportSet(a Set) []uint64
+	ImportSet(words []uint64) (Set, bool)
+
+	// SetContext hands the engine the context of the current synthesis run
+	// (nil: no cancellation), so long internal fixpoints — SCC enumeration
+	// in particular — stop early once it is cancelled. An engine whose
+	// context is cancelled may return empty or partial results from any
+	// operation; AddConvergence re-checks the context after every engine
+	// call that can run long, so a cancelled run always surfaces ctx.Err()
+	// rather than a wrong answer.
+	SetContext(ctx context.Context)
+
 	// Stats returns cumulative engine counters.
 	Stats() *Stats
-}
-
-// ContextAware is an optional Engine capability: observe the context of the
-// current synthesis run so that long internal fixpoints (SCC enumeration in
-// particular) can stop early once the context is cancelled. An engine whose
-// context is cancelled may return empty or partial results from any
-// operation; AddConvergence re-checks the context after every engine call
-// that can run long, so a cancelled run always surfaces ctx.Err() rather
-// than a wrong answer.
-type ContextAware interface {
-	SetContext(ctx context.Context)
 }
 
 // MutableSets is an optional Engine capability: destructive word-level set
@@ -130,23 +142,6 @@ type MutableSets interface {
 	// OrSrcInto sets dst = dst ∪ src(g) without materializing g's source
 	// set.
 	OrSrcInto(dst Set, g Group)
-}
-
-// SrcIntersecter is an optional Engine capability: report whether g's
-// source set intersects X without materializing a copy of the source set.
-// Equivalent to !IsEmpty(And(GroupSrc(g), X)) but allocation-free; the
-// recovery-candidate filter calls this once per candidate group.
-type SrcIntersecter interface {
-	GroupSrcIntersects(g Group, X Set) bool
-}
-
-// srcIntersects uses the engine's SrcIntersecter when available and falls
-// back to the allocating identity otherwise.
-func srcIntersects(e Engine, g Group, X Set) bool {
-	if si, ok := e.(SrcIntersecter); ok {
-		return si.GroupSrcIntersects(g, X)
-	}
-	return !e.IsEmpty(e.And(e.GroupSrc(g), X))
 }
 
 // PairwiseSCCGroups answers SCCGroups with one GroupFromTo(g, scc, scc)

@@ -31,10 +31,8 @@ type SynthMemo interface {
 
 // RankSnapshot captures the schedule-independent preprocessing of a run:
 // the keys of the initial groups removed by cycle preprocessing, and the
-// rank sets exported through the engine's SetExporter (nil when the engine
-// has none — the removal keys alone still spare the preprocessing SCC
-// pass). Stored only after the rank-∞ check passed, so importing a
-// snapshot may skip that check.
+// rank sets as Engine.ExportSet words. Stored only after the rank-∞ check
+// passed, so importing a snapshot may skip that check.
 type RankSnapshot struct {
 	RemovedKeys []protocol.Key
 	Ranks       [][]uint64
@@ -51,16 +49,4 @@ type PrefixSnapshot struct {
 	RankIndex int
 	AddedKeys []protocol.Key
 	Done      bool
-}
-
-// SetExporter is an optional Engine capability: serialize a Set to plain
-// words and back, for storing in a cross-run memo. Export returns a
-// caller-owned copy; Import builds a fresh engine-owned Set from one (and
-// reports ok=false for snapshots it cannot honor — wrong universe size,
-// wrong variable order, malformed words — so the caller recomputes). The
-// explicit engine copies its bitset words; the symbolic engine serializes
-// the BDD node list prefixed with a variable-order fingerprint.
-type SetExporter interface {
-	ExportSet(a Set) []uint64
-	ImportSet(words []uint64) (Set, bool)
 }

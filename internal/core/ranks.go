@@ -35,14 +35,13 @@ func pimFrom(pss, candidates []Group) []Group {
 // RecoveryCandidates returns the candidate groups that satisfy constraint
 // C1: no transition of the group starts in I. Only these may ever be added
 // as recovery, because a groupmate starting in I would change δp|I. The
-// per-candidate disjointness test goes through the engine's SrcIntersecter
-// when available, so engines with cached source sets answer it without
-// cloning or allocating.
+// per-candidate disjointness test is Engine.GroupSrcIntersects, which
+// answers without cloning or allocating.
 func RecoveryCandidates(e Engine) []Group {
 	I := e.Invariant()
 	var out []Group
 	for _, g := range e.CandidateGroups() {
-		if !srcIntersects(e, g, I) {
+		if !e.GroupSrcIntersects(g, I) {
 			out = append(out, g)
 		}
 	}

@@ -242,12 +242,10 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background() //lint:ignore ctxflow documented API default: Options.Ctx nil means Background
 	}
-	if ca, ok := e.(ContextAware); ok {
-		ca.SetContext(ctx)
-	}
+	e.SetContext(ctx)
 
 	k := len(e.Spec().Procs)
-	sched, err := normalizeSchedule(opts.Schedule, k)
+	sched, err := NormalizeSchedule(opts.Schedule, k)
 	if err != nil {
 		return res, err
 	}
@@ -317,20 +315,18 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 	var ranks []Set
 	imported := false
 	if loadedRanks != nil && loadedRanks.Ranks != nil {
-		if se, ok := e.(SetExporter); ok {
-			rs := make([]Set, 0, len(loadedRanks.Ranks))
-			good := true
-			for _, words := range loadedRanks.Ranks {
-				set, ok := se.ImportSet(words)
-				if !ok {
-					good = false
-					break
-				}
-				rs = append(rs, set)
+		rs := make([]Set, 0, len(loadedRanks.Ranks))
+		good := true
+		for _, words := range loadedRanks.Ranks {
+			set, ok := e.ImportSet(words)
+			if !ok {
+				good = false
+				break
 			}
-			if good {
-				ranks, imported = rs, true
-			}
+			rs = append(rs, set)
+		}
+		if good {
+			ranks, imported = rs, true
 		}
 	}
 	if !imported {
@@ -354,10 +350,8 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 			for _, g := range res.Removed {
 				snap.RemovedKeys = append(snap.RemovedKeys, g.ProtocolGroup().Key())
 			}
-			if se, ok := e.(SetExporter); ok {
-				for _, r := range ranks {
-					snap.Ranks = append(snap.Ranks, se.ExportSet(r))
-				}
+			for _, r := range ranks {
+				snap.Ranks = append(snap.Ranks, e.ExportSet(r))
 			}
 			opts.Memo.StoreRanks(snap)
 		}
@@ -457,7 +451,7 @@ func (s *synthesizer) removeInitialCycles(res *Result) error {
 	for i, within := range s.e.SCCGroups(s.pss, sccs) {
 		for _, gi := range within {
 			g := s.pss[gi]
-			if srcIntersects(s.e, g, s.I) {
+			if s.e.GroupSrcIntersects(g, s.I) {
 				st, _ := s.e.PickState(sccs[i])
 				return fmt.Errorf("%w: cycle through state %v uses group %s",
 					ErrUnresolvableCycle, st, g.ProtocolGroup().Render(s.e.Spec()))
@@ -777,7 +771,7 @@ func (s *synthesizer) checkHopeless() bool {
 			if s.inPss[k] || s.doomed[k] {
 				continue
 			}
-			if srcIntersects(s.e, g, s.deadlocks) {
+			if s.e.GroupSrcIntersects(g, s.deadlocks) {
 				return false
 			}
 		}
@@ -803,7 +797,10 @@ func (s *synthesizer) finish(res *Result, pss []Group) {
 	res.ProgramSize = s.e.ProgramSize(pss)
 }
 
-func normalizeSchedule(sched []int, k int) ([]int, error) {
+// NormalizeSchedule is the schedule rule: nil selects DefaultSchedule(k),
+// and any other schedule must be a permutation of 0..k-1. A valid schedule
+// is returned as is.
+func NormalizeSchedule(sched []int, k int) ([]int, error) {
 	if sched == nil {
 		return DefaultSchedule(k), nil
 	}

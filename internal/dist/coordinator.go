@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"strings"
 	"sync"
 
 	"stsyn/internal/core"
@@ -73,8 +72,11 @@ func (s *ScheduleSource) stream(k int) (func() ([]int, bool), int, error) {
 			return nil, 0, errors.New("dist: list source has no schedules")
 		}
 		for i, sc := range s.List {
-			if len(sc) != k {
+			if len(sc) != k { // a nil schedule would pass as the default one
 				return nil, 0, fmt.Errorf("dist: list schedule %d has %d entries, want %d", i, len(sc), k)
+			}
+			if _, err := core.NormalizeSchedule(sc, k); err != nil {
+				return nil, 0, fmt.Errorf("dist: list schedule %d: %w", i, err)
 			}
 		}
 		return core.StreamSchedules(s.List), len(s.List), nil
@@ -227,6 +229,11 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*JobResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: bad job request: %w", err)
 	}
+	// The workers would reject bad options on every schedule, and each
+	// rejection would count as a failed schedule: check them once here.
+	if _, err := service.Normalize(&job.Request, sp); err != nil {
+		return nil, fmt.Errorf("dist: bad job options: %w", err)
+	}
 	k := len(sp.Procs)
 	next, total, err := job.Source.stream(k)
 	if err != nil {
@@ -241,9 +248,6 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*JobResult, error) {
 	// numbering. Workers see Prune on every request and memo locally.
 	var q *prune.QuotientStream
 	if job.Request.Prune {
-		if strings.EqualFold(job.Request.Resolution, "incremental") {
-			return nil, errors.New("dist: prune requires batch resolution: incremental cycle resolution is not equivariant under the symmetry group")
-		}
 		lexOrdered := job.Source.Kind == "" || job.Source.Kind == "rotations" || job.Source.Kind == "all"
 		q = prune.NewQuotientStream(prune.DeriveGroup(sp), next, lexOrdered)
 		next = q.Next

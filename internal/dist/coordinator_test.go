@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -370,6 +371,62 @@ func TestCoordinatorAllSchedulesFail(t *testing.T) {
 	})
 	if !errors.Is(err, ErrNoWinner) {
 		t.Fatalf("err = %v, want ErrNoWinner", err)
+	}
+}
+
+// Options every worker would reject fail the run up front, with the
+// service's own message: they are not schedule failures, so no worker is
+// asked and the search does not end in ErrNoWinner.
+func TestCoordinatorRejectsBadOptions(t *testing.T) {
+	w1 := newWorker(t, nil)
+	base := service.Request{Protocol: "tokenring", K: 4, Dom: 3}
+	cases := []struct {
+		name string
+		edit func(*service.Request)
+	}{
+		{"unknown engine", func(r *service.Request) { r.Engine = "quantum" }},
+		{"unknown convergence", func(r *service.Request) { r.Convergence = "eventual" }},
+		{"unknown resolution", func(r *service.Request) { r.Resolution = "lazy" }},
+		{"prune with incremental resolution", func(r *service.Request) { r.Prune, r.Resolution = true, "incremental" }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := newTestCoordinator(t, Config{ShardSize: 2}, ClientConfig{Workers: []string{w1.URL}})
+			req := base
+			tc.edit(&req)
+			sp, err := service.BuildSpec(&req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, want := service.Normalize(&req, sp)
+			if want == nil {
+				t.Fatalf("service accepts %+v", req)
+			}
+			_, err = coord.Run(context.Background(), Job{Request: req, Source: ScheduleSource{Kind: "all"}})
+			switch {
+			case err == nil:
+				t.Fatal("bad options accepted")
+			case errors.Is(err, ErrNoWinner):
+				t.Fatalf("bad options became schedule failures: %v", err)
+			case !strings.Contains(err.Error(), "dist: ") || !strings.Contains(err.Error(), want.Error()):
+				t.Errorf("err = %q, want the dist-prefixed service message %q", err, want)
+			}
+			m := coord.Metrics()
+			if tried, sent := m.SchedulesTried.Load(), m.RequestsTotal.Load(); tried != 0 || sent != 0 {
+				t.Errorf("schedules tried = %d, worker requests = %d, want 0 and 0", tried, sent)
+			}
+		})
+	}
+
+	// A list schedule that is not a permutation is no schedule to try
+	// either: the source rejects it with the core's schedule rule.
+	coord := newTestCoordinator(t, Config{ShardSize: 2}, ClientConfig{Workers: []string{w1.URL}})
+	_, err := coord.Run(context.Background(), Job{Request: base, Source: ScheduleSource{Kind: "list", List: [][]int{{0, 0, 1, 2}}}})
+	if err == nil || errors.Is(err, ErrNoWinner) || !strings.Contains(err.Error(), "not a permutation") {
+		t.Errorf("non-permutation list schedule: err = %v, want a permutation error", err)
+	}
+	if sent := coord.Metrics().RequestsTotal.Load(); sent != 0 {
+		t.Errorf("non-permutation list schedule sent %d worker requests, want 0", sent)
 	}
 }
 

@@ -19,8 +19,7 @@ const DefaultMaxStates = 1 << 24
 const AutoMaxStates = 1 << 20
 
 // AutoSelects reports whether engine "auto" resolves to the explicit
-// engine for sp. The CLI, the library's NewEngine and the service all
-// resolve "auto" through it.
+// engine for sp (cli.ResolveEngine, the one engine-name rule, asks it).
 func AutoSelects(sp *protocol.Spec) bool {
 	n, ok := sp.NumStates()
 	return ok && n <= AutoMaxStates
@@ -84,9 +83,7 @@ type Engine struct {
 }
 
 var _ core.Engine = (*Engine)(nil)
-var _ core.ContextAware = (*Engine)(nil)
 var _ core.MutableSets = (*Engine)(nil)
-var _ core.SrcIntersecter = (*Engine)(nil)
 
 // KernelStats counts the engine's image-kernel activity; exposed through
 // the service /metrics endpoint and the JSON result encoding.
@@ -515,7 +512,7 @@ func (e *Engine) groupFromToScan(gg *group, f, t *Bitset) bool {
 // --- Optional core capabilities ------------------------------------------
 
 // GroupSrcIntersects reports whether g's source set intersects X, using the
-// cached source set without cloning it (core.SrcIntersecter).
+// cached source set without cloning it.
 func (e *Engine) GroupSrcIntersects(g core.Group, X core.Set) bool {
 	gg := g.(*group)
 	e.kstats.GroupTests++

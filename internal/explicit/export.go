@@ -2,8 +2,8 @@ package explicit
 
 import "stsyn/internal/core"
 
-// ExportSet implements core.SetExporter: a caller-owned copy of the set's
-// backing words, suitable for storing in a cross-engine memo.
+// ExportSet returns a caller-owned copy of the set's backing words,
+// suitable for storing in a cross-engine memo.
 func (e *Engine) ExportSet(a core.Set) []uint64 {
 	b := a.(*Bitset)
 	return append([]uint64(nil), b.words...)

@@ -25,8 +25,8 @@ var CtxFlow = &Analyzer{
 // state.
 var ctxFieldAllowed = map[string]bool{
 	"internal/core.Options":    true, // nil Ctx documented to mean context.Background()
-	"internal/explicit.Engine": true, // core.ContextAware: SetContext per run, nil = no cancellation
-	"internal/symbolic.Engine": true, // core.ContextAware: SetContext per run, nil = no cancellation
+	"internal/explicit.Engine": true, // core.Engine.SetContext per run, nil = no cancellation
+	"internal/symbolic.Engine": true, // core.Engine.SetContext per run, nil = no cancellation
 }
 
 func runCtxFlow(p *Pass) {

@@ -152,22 +152,14 @@ type Job struct {
 }
 
 // Normalize validates a request against its specification and resolves
-// every defaulted option.
+// every defaulted option. Every front end — the server, the stsyn CLI and
+// the dist coordinator — checks its options here.
 func Normalize(req *Request, sp *protocol.Spec) (*Job, error) {
 	j := &Job{Spec: sp, Fanout: req.Fanout}
 
-	switch strings.ToLower(req.Engine) {
-	case "", "auto":
-		j.Engine = "symbolic"
-		if explicit.AutoSelects(sp) {
-			j.Engine = "explicit"
-		}
-	case "explicit":
-		j.Engine = "explicit"
-	case "symbolic":
-		j.Engine = "symbolic"
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want auto, explicit or symbolic)", req.Engine)
+	var err error
+	if j.Engine, err = cli.ResolveEngine(req.Engine, sp); err != nil {
+		return nil, err
 	}
 
 	switch strings.ToLower(req.Convergence) {
@@ -193,24 +185,15 @@ func Normalize(req *Request, sp *protocol.Spec) (*Job, error) {
 		return nil, fmt.Errorf("prune requires batch resolution: incremental cycle resolution is not equivariant under the symmetry group")
 	}
 
-	k := len(sp.Procs)
 	if req.Fanout && len(req.Schedule) > 0 {
 		return nil, fmt.Errorf("fanout and schedule are mutually exclusive")
 	}
+	var sched []int // nil (also for an empty list) selects the default
 	if len(req.Schedule) > 0 {
-		if len(req.Schedule) != k {
-			return nil, fmt.Errorf("schedule has %d entries, want %d", len(req.Schedule), k)
-		}
-		seen := make([]bool, k)
-		for _, p := range req.Schedule {
-			if p < 0 || p >= k || seen[p] {
-				return nil, fmt.Errorf("schedule %v is not a permutation of 0..%d", req.Schedule, k-1)
-			}
-			seen[p] = true
-		}
-		j.Schedule = append([]int(nil), req.Schedule...)
-	} else {
-		j.Schedule = core.DefaultSchedule(k)
+		sched = append(sched, req.Schedule...)
+	}
+	if j.Schedule, err = core.NormalizeSchedule(sched, len(sp.Procs)); err != nil {
+		return nil, err
 	}
 
 	j.Key = CanonicalKey(j)

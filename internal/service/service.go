@@ -11,11 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"stsyn/internal/cli"
 	"stsyn/internal/core"
-	"stsyn/internal/explicit"
 	"stsyn/internal/prune"
 	"stsyn/internal/service/jobs"
-	"stsyn/internal/symbolic"
 	"stsyn/internal/verify"
 	"stsyn/pkg/stsynerr"
 )
@@ -392,26 +391,52 @@ func timeoutError(err error) *Error {
 	return stsynerr.Wrap(name, "synthesis did not finish in time", err)
 }
 
-// synthesize runs the job's synthesis (plus fanout schedule search when
-// asked) and model-checks the result.
+// synthesize runs the job on the shared job path and turns a failed
+// verdict into an internal error: a returned protocol is always verified.
 func (s *Server) synthesize(ctx context.Context, norm *Job) (*Response, error) {
-	factory := func() (core.Engine, error) { return newEngine(norm) }
+	out, err := Run(ctx, norm, s.memo)
+	if err != nil {
+		return nil, err
+	}
+	if !out.Verdict.OK {
+		return nil, fmt.Errorf("internal error: synthesized protocol failed verification: %s", out.Verdict.Reason)
+	}
+	return out.Response, nil
+}
+
+// Outcome is one run of the job path: the engine the final synthesis ran
+// on, its result, the model checker's verdict on it and the encoded
+// response.
+type Outcome struct {
+	Engine   core.Engine
+	Result   *core.Result
+	Verdict  verify.Verdict
+	Response *Response
+}
+
+// Run is the one job path of every front end: the prune group and memo
+// scope, the fan-out over the rotations (quotiented when pruning), the
+// final synthesis, its verification and the encoding. memo (nil: none)
+// shares sub-results across the job's schedules when it prunes; ctx bounds
+// the run. A fan-out job's Schedule becomes the winning schedule. A failed
+// verdict is reported in the Outcome, not as an error.
+func Run(ctx context.Context, norm *Job, memo *prune.Memo) (*Outcome, error) {
+	factory := func() (core.Engine, error) { return cli.NewEngine(norm.Spec, norm.Engine) }
 	opts := norm.Options()
 	opts.Ctx = ctx
 
 	// Prune-enabled jobs get the spec's schedule-automorphism group and a
-	// scope into the server-wide fixpoint memo. Both legs preserve the
-	// result bit for bit: the quotient drops only orbit-mates of schedules
-	// that still run, and memo hits replay exactly what recomputation
-	// would produce.
+	// scope into the memo. Both legs preserve the result bit for bit: the
+	// quotient drops only orbit-mates of schedules that still run, and memo
+	// hits replay exactly what recomputation would produce.
 	var group *prune.Group
 	var jobMemo *prune.JobMemo
 	var pruneStats *PruneStats
 	if norm.Prune {
 		group = prune.DeriveGroup(norm.Spec)
 		pruneStats = &PruneStats{GroupSize: group.Size()}
-		if s.memo != nil {
-			jobMemo = s.memo.ForJob(prune.Scope(norm.Spec, norm.Engine, norm.Convergence, norm.Resolution))
+		if memo != nil {
+			jobMemo = memo.ForJob(prune.Scope(norm.Spec, norm.Engine, norm.Convergence, norm.Resolution))
 			opts.Memo = jobMemo
 		}
 	}
@@ -460,10 +485,7 @@ func (s *Server) synthesize(ctx context.Context, norm *Job) (*Response, error) {
 		// cancellation instead.
 		return nil, err
 	}
-	if !verdict.OK {
-		return nil, fmt.Errorf("internal error: synthesized protocol failed verification: %s", verdict.Reason)
-	}
-	resp := EncodeResult(e, res, norm, true)
+	resp := EncodeResult(e, res, norm, verdict.OK)
 	if pruneStats != nil {
 		if jobMemo != nil {
 			pruneStats.MemoHits = jobMemo.Hits()
@@ -471,13 +493,5 @@ func (s *Server) synthesize(ctx context.Context, norm *Job) (*Response, error) {
 		}
 		resp.Prune = pruneStats
 	}
-	return resp, nil
-}
-
-// newEngine builds the job's engine.
-func newEngine(norm *Job) (core.Engine, error) {
-	if norm.Engine == "explicit" {
-		return explicit.New(norm.Spec, 0)
-	}
-	return symbolic.New(norm.Spec)
+	return &Outcome{Engine: e, Result: res, Verdict: verdict, Response: resp}, nil
 }

@@ -543,10 +543,10 @@ func TestPruneFanoutEndToEnd(t *testing.T) {
 	}
 }
 
-// Prune + memo on the symbolic engine, end to end. The symbolic engine now
-// implements SetExporter, so a pruned symbolic fan-out exercises the full
-// cross-schedule memo path: rank snapshots are serialized BDDs, replayed
-// across the quotient stream's attempts. The synthesized protocol must be
+// Prune + memo on the symbolic engine, end to end. The symbolic engine
+// exports its sets like the explicit one, so a pruned symbolic fan-out
+// exercises the full cross-schedule memo path: rank snapshots are
+// serialized BDDs, replayed across the quotient stream's attempts. The synthesized protocol must be
 // identical to both the unpruned symbolic run and the pruned explicit run,
 // and the response must carry the symbolic worker count.
 func TestSymbolicPruneMemoEndToEnd(t *testing.T) {

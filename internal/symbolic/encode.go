@@ -202,11 +202,12 @@ func (c *compiler) intExpr(e protocol.IntExpr) map[int]bdd.Ref {
 		cond := c.boolExpr(x.If)
 		ncond := c.m.Not(cond)
 		out := make(map[int]bdd.Ref)
-		for val, p := range c.intExpr(x.Then) {
-			out[val] = c.m.Or(out[val], c.m.And(cond, p))
+		then, els := c.intExpr(x.Then), c.intExpr(x.Else)
+		for _, val := range sortedVals(then) {
+			out[val] = c.m.Or(out[val], c.m.And(cond, then[val]))
 		}
-		for val, p := range c.intExpr(x.Else) {
-			out[val] = c.m.Or(out[val], c.m.And(ncond, p))
+		for _, val := range sortedVals(els) {
+			out[val] = c.m.Or(out[val], c.m.And(ncond, els[val]))
 		}
 		return out
 	default:
@@ -218,13 +219,27 @@ func (c *compiler) modArith(a, b protocol.IntExpr, mod int, op func(a, b int) in
 	av := c.intExpr(a)
 	bv := c.intExpr(b)
 	out := make(map[int]bdd.Ref)
-	for v1, p1 := range av {
-		for v2, p2 := range bv {
+	bvals := sortedVals(bv)
+	for _, v1 := range sortedVals(av) {
+		for _, v2 := range bvals {
 			val := op(v1, v2)
-			out[val] = c.m.Or(out[val], c.m.And(p1, p2))
+			out[val] = c.m.Or(out[val], c.m.And(av[v1], bv[v2]))
 		}
 	}
 	return out
+}
+
+// sortedVals returns a value table's values in ascending order. The
+// compiler folds tables in this order, not the map's: the resulting
+// predicates are canonical either way, but the intermediate nodes — and so
+// the engine's node and cache statistics — would differ run to run.
+func sortedVals(t map[int]bdd.Ref) []int {
+	vals := make([]int, 0, len(t))
+	for v := range t {
+		vals = append(vals, v) //lint:ignore determinism the keys are sorted right below
+	}
+	sort.Ints(vals)
+	return vals
 }
 
 // boolExpr compiles a boolean expression to a predicate.
@@ -265,10 +280,11 @@ func (c *compiler) compare(a, b protocol.IntExpr, rel func(a, b int) bool) bdd.R
 	av := c.intExpr(a)
 	bv := c.intExpr(b)
 	r := bdd.False
-	for v1, p1 := range av {
-		for v2, p2 := range bv {
+	bvals := sortedVals(bv)
+	for _, v1 := range sortedVals(av) {
+		for _, v2 := range bvals {
 			if rel(v1, v2) {
-				r = c.m.Or(r, c.m.And(p1, p2))
+				r = c.m.Or(r, c.m.And(av[v1], bv[v2]))
 			}
 		}
 	}

@@ -78,7 +78,6 @@ func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 func (e *Engine) canceled() bool { return e.ctx != nil && e.ctx.Err() != nil }
 
 var _ core.Engine = (*Engine)(nil)
-var _ core.ContextAware = (*Engine)(nil)
 var _ core.RefRegistry = (*Engine)(nil)
 var _ core.SpaceReporter = (*Engine)(nil)
 
@@ -190,7 +189,7 @@ func (e *Engine) CandidateGroups() []core.Group { return append([]core.Group(nil
 
 func (e *Engine) GroupSrc(g core.Group) core.Set { return g.(*group).src }
 
-// GroupSrcIntersects implements core.SrcIntersecter: a node-free
+// GroupSrcIntersects is a node-free
 // satisfiability walk of src ∧ X on the persistent manager.
 func (e *Engine) GroupSrcIntersects(g core.Group, X core.Set) bool {
 	return e.m.Intersects(g.(*group).src, X.(bdd.Ref))

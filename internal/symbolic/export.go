@@ -5,12 +5,10 @@ import (
 	"stsyn/internal/core"
 )
 
-var _ core.SetExporter = (*Engine)(nil)
-
-// ExportSet implements core.SetExporter: a manager-independent snapshot of
-// the set — the serialized node list prefixed with the layout fingerprint.
-// The fingerprint makes snapshots self-describing across engines for the
-// same spec: a memo entry taken under one variable order is rejected by
+// ExportSet returns a manager-independent snapshot of the set — the
+// serialized node list prefixed with the layout fingerprint. The
+// fingerprint makes snapshots self-describing across engines for the same
+// spec: a memo entry taken under one variable order is rejected by
 // ImportSet under any other (node indices would decode into a different
 // function), so cross-schedule memos compose safely with NewWithOrder.
 func (e *Engine) ExportSet(a core.Set) []uint64 {

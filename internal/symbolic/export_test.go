@@ -69,7 +69,7 @@ func TestSetExporterRoundTripAndFingerprint(t *testing.T) {
 		t.Error("fingerprint-only snapshot accepted")
 	}
 
-	// The exporter is what the cross-schedule memo stores; make sure the
-	// interface assertion the service relies on holds.
-	var _ core.SetExporter = src
+	// ExportSet/ImportSet are what the cross-schedule memo stores through
+	// the core.Engine interface.
+	var _ core.Engine = src
 }

@@ -108,7 +108,7 @@ type Response struct {
 	RemovedGroups int `json:"removed_groups"`
 	// RankInfinityFastFail counts the synthesizer's rank-∞ fast-fail
 	// short-circuits (doomed-batch skips, futile-batch replays, terminal
-	// aborts) during this job; 0 when the engine ran the reference scheme.
+	// aborts) during this job.
 	RankInfinityFastFail int `json:"rank_infinity_fastfail"`
 
 	ProgramSize int     `json:"program_size"`

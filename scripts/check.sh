@@ -53,6 +53,12 @@ go test -race -count=1 \
     -run='^(TestSyncAsyncBatchAnswerByteIdentical|TestCancelWhileRunningYieldsTypedCanceled|TestAsyncConcurrentLifecycleStress)$' \
     ./internal/service
 
+# Front-end parity: the stsyn CLI must answer exactly as the service does
+# for the same job, and the dist coordinator must reject options the
+# workers would reject before it shards, so drift between the front ends
+# fails a named step.
+go test -race -count=1 -run='^(TestCLIMatchesService|TestCoordinatorRejectsBadOptions)$' ./cmd/stsyn ./internal/dist
+
 # Coverage floor for the BDD manager: the GC and cache paths must stay
 # exercised by the property tests.
 floor=85

@@ -28,6 +28,7 @@ package stsyn
 import (
 	"errors"
 
+	"stsyn/internal/cli"
 	"stsyn/internal/core"
 	"stsyn/internal/explicit"
 	"stsyn/internal/pretty"
@@ -85,12 +86,9 @@ func NewSymbolicEngine(sp *Spec) (Engine, error) {
 }
 
 // NewEngine picks an engine automatically: explicit for state spaces up to
-// 2^20 states, symbolic beyond (explicit.AutoSelects).
+// 2^20 states, symbolic beyond — engine "auto" of the CLI and the service.
 func NewEngine(sp *Spec) (Engine, error) {
-	if explicit.AutoSelects(sp) {
-		return explicit.New(sp, 0)
-	}
-	return symbolic.New(sp)
+	return cli.NewEngine(sp, "auto")
 }
 
 // Synthesis options and results.
