@@ -43,7 +43,7 @@ func main() {
 		engine    = flag.String("engine", "", "worker engine: auto (default), explicit or symbolic")
 		jobTO     = flag.Duration("timeout", 0, "per-schedule synthesis timeout sent to workers (0 = worker default)")
 		schedules = flag.String("schedules", "rotations", "search space: rotations, all, or sample:N[:SEED]")
-		pruneOn   = flag.Bool("prune", false, "quotient the search by the spec's symmetry group before sharding; workers memoize shared sub-results (result is unchanged)")
+		pruneOn   = flag.Bool("prune", false, "quotient the search by the spec's symmetry group before sharding (result is unchanged)")
 
 		shardSize    = flag.Int("shard-size", 4, "consecutive schedules per shard")
 		concurrency  = flag.Int("concurrency", 0, "shards in flight (0 = worker count)")

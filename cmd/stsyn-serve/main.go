@@ -45,7 +45,6 @@ func main() {
 		workers = flag.Int("workers", 0, "synthesis workers (0 = GOMAXPROCS)")
 		queue   = flag.Int("queue", 64, "job queue depth before 503 backpressure")
 		cacheMB = flag.Int64("cache-mb", 64, "result cache budget in MiB (0 disables)")
-		memoMB  = flag.Int64("memo-mb", 32, "fixpoint-memo budget for prune-enabled jobs in MiB (0 disables)")
 		timeout = flag.Duration("timeout", 30*time.Second, "default per-job timeout")
 		maxTO   = flag.Duration("max-timeout", 5*time.Minute, "maximum per-job timeout")
 		drainTO = flag.Duration("drain-timeout", time.Minute, "graceful-shutdown drain budget")
@@ -66,7 +65,6 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTO,
 		CacheBytes:     *cacheMB << 20,
-		MemoBytes:      *memoMB << 20,
 		JobsMax:        *jobsMax,
 		JobTTL:         *jobTTL,
 		TenantRate:     *tenantRate,
@@ -74,9 +72,6 @@ func main() {
 	}
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = -1 // 0 MiB means "disable", not "default"
-	}
-	if cfg.MemoBytes == 0 {
-		cfg.MemoBytes = -1
 	}
 	if *verbose {
 		cfg.Logf = logger.Printf

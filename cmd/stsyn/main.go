@@ -26,7 +26,6 @@ import (
 	"stsyn"
 	"stsyn/internal/cli"
 	"stsyn/internal/dot"
-	"stsyn/internal/prune"
 	"stsyn/internal/service"
 )
 
@@ -49,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		schedule = fs.String("schedule", "", "recovery schedule, e.g. 1,2,3,0 (default: P1..Pk-1,P0)")
 		resol    = fs.String("resolution", "batch", "cycle resolution: batch (paper) or incremental")
 		fanout   = fs.Bool("fanout", false, "try all cyclic-rotation schedules in parallel, first success wins")
-		pruneOn  = fs.Bool("prune", false, "quotient the schedule search by the spec's symmetry group and memoize shared sub-results (result is unchanged)")
+		pruneOn  = fs.Bool("prune", false, "quotient the schedule search by the spec's symmetry group (result is unchanged)")
 		quiet    = fs.Bool("q", false, "print only statistics, not the protocol")
 		jsonOut  = fs.Bool("json", false, "emit the result as JSON (the same encoding stsyn-serve returns)")
 		dotFile  = fs.String("dot", "", "also write the synthesized state graph as Graphviz DOT (small instances)")
@@ -83,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "protocol %s: %d processes, %d variables, %d states\n",
 			sp.Name, len(sp.Procs), len(sp.Vars), n)
 	}
-	out, err := service.Run(context.Background(), norm, prune.NewMemo(0))
+	out, err := service.Run(context.Background(), norm)
 	if err != nil {
 		return fail(err)
 	}
@@ -110,7 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if *fanout {
 				line += fmt.Sprintf(" schedules-emitted=%d schedules-pruned=%d", p.SchedulesEmitted, p.SchedulesPruned)
 			}
-			line += fmt.Sprintf(" memo-hits=%d memo-misses=%d", p.MemoHits, p.MemoMisses)
 			fmt.Fprintln(stdout, line)
 		}
 		if b := resp.BDD; b != nil {

@@ -32,15 +32,9 @@ func main() {
 		best.Schedule, best.Result.PassCompleted, best.Result.TotalTime.Round(1e6),
 		countTried(attempts), len(attempts))
 
-	// Re-run the winning schedule on a fresh engine to render and verify.
-	eng, err := stsyn.NewEngine(sp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := stsyn.AddConvergence(eng, stsyn.Options{Schedule: best.Schedule})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The winner carries the engine it synthesized on: render and verify
+	// there.
+	eng, res := best.Engine, best.Result
 	fmt.Printf("Added %d recovery groups. Synthesized protocol:\n\n", len(res.Added))
 	fmt.Println(stsyn.Render(eng, res.Protocol))
 

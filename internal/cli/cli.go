@@ -108,8 +108,3 @@ func ParseSchedule(s string) ([]int, error) {
 	}
 	return out, nil
 }
-
-// ParseInts parses "5,10,15" into a slice of ints.
-func ParseInts(s string) ([]int, error) {
-	return ParseSchedule(s)
-}

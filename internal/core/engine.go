@@ -99,16 +99,6 @@ type Engine interface {
 	// BDD nodes / total transition count).
 	ProgramSize(gs []Group) int
 
-	// ExportSet serializes a to plain words for a cross-run memo, as a
-	// caller-owned copy; ImportSet builds a fresh engine-owned Set from such
-	// words, and reports ok=false for a snapshot it cannot honor (wrong
-	// universe size, wrong variable order, malformed words) so the caller
-	// recomputes. The explicit engine copies its bitset words; the symbolic
-	// engine serializes the BDD node list behind a variable-order
-	// fingerprint.
-	ExportSet(a Set) []uint64
-	ImportSet(words []uint64) (Set, bool)
-
 	// SetContext hands the engine the context of the current synthesis run
 	// (nil: no cancellation), so long internal fixpoints — SCC enumeration
 	// in particular — stop early once it is cancelled. An engine whose

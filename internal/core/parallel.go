@@ -21,6 +21,12 @@ type Attempt struct {
 	Schedule []int
 	Result   *Result
 	Err      error
+	// Engine is the engine the run synthesized on, set only on the winning
+	// attempt TrySchedules and TryScheduleStream return, so a caller can
+	// verify and encode the winner without synthesizing it again. Every
+	// other attempt's engine is dropped, so a fan-out keeps at most one
+	// finished engine alive.
+	Engine Engine
 }
 
 // tryStream is the shared fan-out engine behind TrySchedules and
@@ -31,10 +37,10 @@ type Attempt struct {
 // was also started — so the lowest-index success is a deterministic
 // function of the schedule source alone, whatever the interleaving.
 //
-// record, when non-nil, observes every started attempt's terminal outcome.
-// tryStream returns the winning attempt with its index (bestIdx -1 when
-// none), the number of schedules started, and the error of the
-// lowest-index failed attempt.
+// record, when non-nil, observes every started attempt's terminal outcome
+// (without its engine). tryStream returns the winning attempt, carrying its
+// engine, with its index (bestIdx -1 when none), the number of schedules
+// started, and the error of the lowest-index failed attempt.
 func tryStream(factory EngineFactory, opts Options, next func() ([]int, bool), workers int, record func(idx int, a Attempt)) (best *Attempt, bestIdx, tried int, firstErr error) {
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -44,6 +50,7 @@ func tryStream(factory EngineFactory, opts Options, next func() ([]int, bool), w
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var mu sync.Mutex
+	var bestEngine Engine
 	bestIdx = -1
 	errAt := -1
 	sem := make(chan struct{}, workers)
@@ -70,9 +77,10 @@ func tryStream(factory EngineFactory, opts Options, next func() ([]int, bool), w
 			defer wg.Done()
 			defer func() { <-sem }()
 			a := Attempt{Schedule: s}
+			var e Engine
 			if err := ctx.Err(); err != nil {
 				a.Err = err
-			} else if e, err := factory(); err != nil {
+			} else if e, err = factory(); err != nil {
 				a.Err = err
 			} else {
 				o := opts
@@ -82,7 +90,9 @@ func tryStream(factory EngineFactory, opts Options, next func() ([]int, bool), w
 			mu.Lock()
 			if a.Err == nil {
 				if bestIdx < 0 || idx < bestIdx {
-					bestIdx, best = idx, &a
+					// The superseded winner's engine is released here, so
+					// at most one finished engine is ever kept.
+					bestIdx, best, bestEngine = idx, &a, e
 				}
 			} else if errAt < 0 || idx < errAt {
 				errAt, firstErr = idx, a.Err
@@ -94,6 +104,9 @@ func tryStream(factory EngineFactory, opts Options, next func() ([]int, bool), w
 		}(idx, s)
 	}
 	wg.Wait()
+	if best != nil {
+		best.Engine = bestEngine
+	}
 	return best, bestIdx, tried, firstErr
 }
 
@@ -129,7 +142,7 @@ func TrySchedules(factory EngineFactory, opts Options, schedules [][]int, worker
 		attempts[idx] = a
 		started[idx] = true
 	}
-	_, bestIdx, _, _ := tryStream(factory, opts, StreamSchedules(schedules), workers, record)
+	best, bestIdx, _, _ := tryStream(factory, opts, StreamSchedules(schedules), workers, record)
 	for i := range attempts {
 		if !started[i] {
 			if err := ctx.Err(); err != nil {
@@ -140,6 +153,7 @@ func TrySchedules(factory EngineFactory, opts Options, schedules [][]int, worker
 		}
 	}
 	if bestIdx >= 0 {
+		attempts[bestIdx].Engine = best.Engine
 		return &attempts[bestIdx], attempts, nil
 	}
 	return nil, attempts, attempts[0].Err

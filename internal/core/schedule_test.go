@@ -12,6 +12,8 @@ import (
 	"stsyn/internal/core"
 	"stsyn/internal/explicit"
 	"stsyn/internal/protocols"
+	"stsyn/internal/symbolic"
+	"stsyn/internal/verify"
 )
 
 // The stream yields exactly the k! permutations, in strictly increasing
@@ -187,5 +189,52 @@ func TestTryScheduleStreamDeterministicWinner(t *testing.T) {
 		if !reflect.DeepEqual(got.Schedule, want) {
 			t.Fatalf("run %d: winner %v, want %v", i, got.Schedule, want)
 		}
+	}
+}
+
+// TrySchedules and TryScheduleStream hand back the winner's engine, so its
+// protocol can be verified without synthesizing the schedule again; every
+// other attempt drops its engine. Four workers run all four rotations, so losing
+// successes exist alongside the winner.
+func TestWinnerCarriesEngine(t *testing.T) {
+	sp := protocols.TokenRing(4, 3)
+	factories := map[string]core.EngineFactory{
+		"explicit": func() (core.Engine, error) { return explicit.New(sp, 0) },
+		"symbolic": func() (core.Engine, error) { return symbolic.New(sp) },
+	}
+	for name, factory := range factories {
+		t.Run(name, func(t *testing.T) {
+			rot := core.Rotations(4)
+			best, attempts, err := core.TrySchedules(factory, core.Options{}, rot, len(rot))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if best.Engine == nil {
+				t.Fatal("TrySchedules winner carries no engine")
+			}
+			if v := verify.StronglyStabilizing(best.Engine, best.Result.Protocol); !v.OK {
+				t.Fatalf("winner's engine rejects its protocol: %s", v.Reason)
+			}
+			for i := range attempts {
+				a := &attempts[i]
+				if a == best {
+					continue
+				}
+				if a.Engine != nil {
+					t.Errorf("attempt %d (%v, err=%v) kept its engine", i, a.Schedule, a.Err)
+				}
+			}
+
+			got, _, err := core.TryScheduleStream(factory, core.Options{}, core.StreamSchedules(rot), len(rot))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Engine == nil {
+				t.Fatal("TryScheduleStream winner carries no engine")
+			}
+			if v := verify.StronglyStabilizing(got.Engine, got.Result.Protocol); !v.OK {
+				t.Fatalf("stream winner's engine rejects its protocol: %s", v.Reason)
+			}
+		})
 	}
 }

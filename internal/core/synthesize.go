@@ -48,13 +48,6 @@ type Options struct {
 	// Log, when non-nil, receives a progress trace of the heuristic
 	// (passes, batches, cycle resolutions).
 	Log func(format string, args ...interface{})
-	// Memo, when non-nil, is a cross-schedule memo shared between attempts
-	// of a fan-out (see SynthMemo): the schedule-independent preprocessing
-	// and ranking, and the pass-1 work of schedules sharing a prefix, are
-	// computed once and replayed. The caller must scope the memo to this
-	// exact synthesis problem (spec, engine kind, convergence, resolution);
-	// internal/prune provides a content-addressed implementation.
-	Memo SynthMemo
 }
 
 // CycleResolution selects a cycle-resolution strategy for Add_Recovery.
@@ -141,8 +134,6 @@ type synthesizer struct {
 
 	// Recovery candidates (constraint C1 pre-applied), per process.
 	candsByProc [][]Group
-	// candByKey indexes the candidates for memo replay (built lazily).
-	candByKey map[protocol.Key]Group
 
 	deadlocks Set
 
@@ -285,20 +276,8 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 	// Preprocessing: non-progress cycles of p in ¬I matter only for strong
 	// convergence. Cycle groups with groupmates in I are fatal; groups
 	// entirely outside I may be removed without violating δpss|I = δp|I.
-	// The whole preprocessing+ranking prefix of a run is schedule-
-	// independent, so a memo snapshot from any earlier attempt on the same
-	// problem replaces it outright (snapshots are stored only by runs that
-	// passed the rank-∞ check, so a hit may skip that check too).
-	var loadedRanks *RankSnapshot
-	if opts.Memo != nil {
-		if snap, ok := opts.Memo.LoadRanks(); ok {
-			loadedRanks = &snap
-		}
-	}
 	if opts.Convergence == Strong {
-		if loadedRanks != nil {
-			s.removeByKeys(res, loadedRanks.RemovedKeys)
-		} else if err := s.removeInitialCycles(res); err != nil {
+		if err := s.removeInitialCycles(res); err != nil {
 			return res, err
 		}
 	}
@@ -312,56 +291,18 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 	// Ranking (the approximation of convergence, Section IV).
 	t0 := time.Now() //lint:ignore determinism wall-clock result timing only; never feeds a synthesis decision
 	pim := pimFrom(s.pss, candidates)
-	var ranks []Set
-	imported := false
-	if loadedRanks != nil && loadedRanks.Ranks != nil {
-		rs := make([]Set, 0, len(loadedRanks.Ranks))
-		good := true
-		for _, words := range loadedRanks.Ranks {
-			set, ok := e.ImportSet(words)
-			if !ok {
-				good = false
-				break
-			}
-			rs = append(rs, set)
-		}
-		if good {
-			ranks, imported = rs, true
-		}
+	ranks, infinite, err := computeRanks(ctx, e, pim)
+	res.RankingTime = time.Since(t0) //lint:ignore determinism wall-clock result timing only; never feeds a synthesis decision
+	res.Ranks = ranks
+	if err != nil {
+		return res, err
 	}
-	if !imported {
-		var infinite Set
-		var err error
-		ranks, infinite, err = computeRanks(ctx, e, pim)
-		res.RankingTime = time.Since(t0) //lint:ignore determinism wall-clock result timing only; never feeds a synthesis decision
-		res.Ranks = ranks
-		if err != nil {
-			return res, err
-		}
-		for _, r := range ranks {
-			s.retain(r)
-		}
-		if !e.IsEmpty(infinite) {
-			st, _ := e.PickState(infinite)
-			return res, fmt.Errorf("%w: e.g. state %v", ErrNoStabilizingVersion, st)
-		}
-		if opts.Memo != nil && loadedRanks == nil {
-			snap := RankSnapshot{}
-			for _, g := range res.Removed {
-				snap.RemovedKeys = append(snap.RemovedKeys, g.ProtocolGroup().Key())
-			}
-			for _, r := range ranks {
-				snap.Ranks = append(snap.Ranks, e.ExportSet(r))
-			}
-			opts.Memo.StoreRanks(snap)
-		}
-	} else {
-		res.RankingTime = time.Since(t0) //lint:ignore determinism wall-clock result timing only; never feeds a synthesis decision
-		res.Ranks = ranks
-		for _, r := range ranks {
-			s.retain(r)
-		}
-		s.logf("ranking replayed from memo (%d ranks)", len(ranks))
+	for _, r := range ranks {
+		s.retain(r)
+	}
+	if !e.IsEmpty(infinite) {
+		st, _ := e.PickState(infinite)
+		return res, fmt.Errorf("%w: e.g. state %v", ErrNoStabilizingVersion, st)
 	}
 
 	if opts.Convergence == Weak {
@@ -378,7 +319,6 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 		return res, nil
 	}
 
-	firstCell := true
 passes:
 	for pass := 1; pass <= 2; pass++ {
 		for i := 1; i < len(ranks); i++ {
@@ -392,18 +332,7 @@ passes:
 			if e.IsEmpty(from) {
 				continue
 			}
-			// The first non-empty cell is always reached with the initial
-			// deadlock set, so everything it accepts is determined by the
-			// schedule prefix alone — the only cell where a cross-schedule
-			// prefix memo is sound.
-			var done bool
-			if firstCell && pass == 1 && opts.Memo != nil {
-				done = s.addConvergenceMemo(opts.Memo, from, ranks[i-1], i)
-			} else {
-				done = s.addConvergence(from, ranks[i-1], pass)
-			}
-			firstCell = false
-			if done {
+			if s.addConvergence(from, ranks[i-1], pass) {
 				res.PassCompleted = pass
 				s.finish(res, s.pss)
 				return res, nil
@@ -470,103 +399,6 @@ func (s *synthesizer) removeInitialCycles(res *Result) error {
 	}
 	s.pss = kept
 	return nil
-}
-
-// removeByKeys replays the outcome of removeInitialCycles from a memo
-// snapshot: the removal decision depends only on the protocol, so dropping
-// the recorded keys is exactly what recomputation would do — minus the SCC
-// search.
-func (s *synthesizer) removeByKeys(res *Result, keys []protocol.Key) {
-	if len(keys) == 0 {
-		return
-	}
-	remove := make(map[protocol.Key]bool, len(keys))
-	for _, k := range keys {
-		remove[k] = true
-	}
-	var kept []Group
-	for _, g := range s.pss {
-		if remove[g.ProtocolGroup().Key()] {
-			res.Removed = append(res.Removed, g)
-			delete(s.inPss, g.ProtocolGroup().Key())
-		} else {
-			kept = append(kept, g)
-		}
-	}
-	s.pss = kept
-}
-
-// addConvergenceMemo is addConvergence for the first non-trivial pass-1
-// cell, with cross-schedule prefix memoization: the longest stored snapshot
-// matching a prefix of this run's schedule is replayed through the normal
-// accept path (skipping its candidate filtering and SCC work), and every
-// subsequently processed prefix is stored for later schedules. Snapshots
-// are never written after a context cancellation, which could capture a
-// partially-executed batch.
-func (s *synthesizer) addConvergenceMemo(memo SynthMemo, from, to Set, rankIdx int) bool {
-	cellBase := len(s.pss)
-	start := 0
-	if m, snap, ok := memo.LoadPrefix(s.sched); ok && snap.Pass == 1 && snap.RankIndex == rankIdx && s.replayAccepted(snap.AddedKeys) {
-		start = m
-		s.logf("pass 1 rank %d: replayed schedule prefix %v from memo (%d groups)",
-			rankIdx, s.sched[:m], len(snap.AddedKeys))
-		s.swap(&s.deadlocks, s.e.Diff(s.notI, s.enabled))
-		if s.e.IsEmpty(s.deadlocks) {
-			return true
-		}
-	}
-	for t := start; t < len(s.sched); t++ {
-		if s.ctx.Err() != nil {
-			// The caller re-checks the context and surfaces its error.
-			return false
-		}
-		s.addRecovery(s.sched[t], from, to, 1)
-		s.swap(&s.deadlocks, s.e.Diff(s.notI, s.enabled))
-		done := s.e.IsEmpty(s.deadlocks)
-		if s.ctx.Err() == nil {
-			keys := make([]protocol.Key, 0, len(s.pss)-cellBase)
-			for _, g := range s.pss[cellBase:] {
-				keys = append(keys, g.ProtocolGroup().Key())
-			}
-			memo.StorePrefix(s.sched[:t+1], PrefixSnapshot{Pass: 1, RankIndex: rankIdx, AddedKeys: keys, Done: done})
-		}
-		if done {
-			return true
-		}
-		// The snapshot above records the accepts that actually happened, so
-		// aborting after the store leaves it valid for other schedules.
-		if s.checkHopeless() {
-			return false
-		}
-	}
-	return false
-}
-
-// replayAccepted re-accepts a snapshot's groups, by key, through the normal
-// accept path. Every key is validated against the candidate index before
-// any mutation, so a mismatching snapshot leaves the run untouched and the
-// caller falls back to recomputation.
-func (s *synthesizer) replayAccepted(keys []protocol.Key) bool {
-	if s.candByKey == nil {
-		s.candByKey = make(map[protocol.Key]Group)
-		for _, gs := range s.candsByProc {
-			for _, g := range gs {
-				s.candByKey[g.ProtocolGroup().Key()] = g
-			}
-		}
-	}
-	gs := make([]Group, 0, len(keys))
-	for _, k := range keys {
-		g, ok := s.candByKey[k]
-		if !ok || s.inPss[k] {
-			return false
-		}
-		gs = append(gs, g)
-	}
-	for _, g := range gs {
-		s.accept(g)
-	}
-	return true
 }
 
 // addConvergence is the paper's Add_Convergence (Figure 3): give each

@@ -245,7 +245,8 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*JobResult, error) {
 	// indices then number the quotiented stream — consistently across
 	// resumes, because the group derivation is deterministic and Prune is
 	// part of the JobKey, so a journal never mixes pruned and unpruned
-	// numbering. Workers see Prune on every request and memo locally.
+	// numbering. Workers see Prune on every request and report its prune
+	// block.
 	var q *prune.QuotientStream
 	if job.Request.Prune {
 		lexOrdered := job.Source.Kind == "" || job.Source.Kind == "rotations" || job.Source.Kind == "all"

@@ -14,11 +14,11 @@ import (
 
 // The symmetry-pruning experiment (EXPERIMENTS.md "Symmetry-quotiented
 // schedule search"): the same schedule search run unpruned and through
-// internal/prune's orbit quotient + fixpoint memo, on the committed ring
-// case studies. The quotient divides the search space by the group size
-// (the action is free); the memo shows up as hits and in the wall time.
-// Both legs must agree on the outcome — the pruned search is
-// result-preserving by construction, and this experiment re-checks it.
+// internal/prune's orbit quotient, on the committed ring case studies. The
+// quotient divides the search space by the group size (the action is
+// free), which shows up in the wall time. Both legs must agree on the
+// outcome — the pruned search is result-preserving by construction, and
+// this experiment re-checks it.
 // Regenerate with `stsyn-bench -fig prune`.
 
 // PruneRow is one case study measured with and without pruning.
@@ -32,8 +32,6 @@ type PruneRow struct {
 
 	UnprunedTime time.Duration
 	PrunedTime   time.Duration
-
-	MemoHits, MemoMisses int64
 
 	Outcome string // "win@<schedule>" or "all fail"
 	Match   bool   // both legs agree (same winner and protocol, or both fail)
@@ -90,11 +88,9 @@ func PruneEffect() []PruneRow {
 		bestU, _, errU := core.TrySchedules(factory, core.Options{}, scheds, 1)
 		row.UnprunedTime = time.Since(t0)
 
-		jm := prune.NewMemo(0).ForJob(prune.Scope(c.Spec, "explicit", core.Strong, core.BatchResolution))
 		t0 = time.Now()
-		bestP, _, errP := core.TrySchedules(factory, core.Options{Memo: jm}, reps, 1)
+		bestP, _, errP := core.TrySchedules(factory, core.Options{}, reps, 1)
 		row.PrunedTime = time.Since(t0)
-		row.MemoHits, row.MemoMisses = jm.Hits(), jm.Misses()
 
 		switch {
 		case errU != nil && errP != nil:
@@ -117,16 +113,16 @@ func PruneEffect() []PruneRow {
 // FormatPruneRows renders the sweep as the EXPERIMENTS.md table.
 func FormatPruneRows(rows []PruneRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Symmetry pruning: orbit quotient + fixpoint memo (sequential search)\n")
-	fmt.Fprintf(&b, "%-16s %-14s %6s %6s %6s %12s %12s %6s %7s  %-18s %s\n",
-		"case", "space", "group", "scheds", "reps", "unpruned", "pruned", "hits", "misses", "outcome", "match")
+	fmt.Fprintf(&b, "Symmetry pruning: orbit quotient (sequential search)\n")
+	fmt.Fprintf(&b, "%-16s %-14s %6s %6s %6s %12s %12s  %-18s %s\n",
+		"case", "space", "group", "scheds", "reps", "unpruned", "pruned", "outcome", "match")
 	ms := func(d time.Duration) string {
 		return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
 	}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %-14s %6d %6d %6d %12s %12s %6d %7d  %-18s %v\n",
+		fmt.Fprintf(&b, "%-16s %-14s %6d %6d %6d %12s %12s  %-18s %v\n",
 			r.Name, r.Space, r.GroupSize, r.Schedules, r.Representative,
-			ms(r.UnprunedTime), ms(r.PrunedTime), r.MemoHits, r.MemoMisses, r.Outcome, r.Match)
+			ms(r.UnprunedTime), ms(r.PrunedTime), r.Outcome, r.Match)
 		if r.Err != "" {
 			fmt.Fprintf(&b, "  error: %s\n", r.Err)
 		}

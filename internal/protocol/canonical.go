@@ -14,11 +14,8 @@ import (
 // of content equality. The spec's Name is deliberately excluded: it labels
 // the protocol but does not affect any result derived from it.
 //
-// This is the shared basis of every content address in the repo: the
-// service's result-cache key (internal/service.CanonicalKey), the
-// distributed journal's job key, and the prune memo's scope hash all write
-// the spec through here, so "same synthesis problem" means the same thing
-// at every tier.
+// The service's result-cache key (internal/service.CanonicalKey) writes
+// the spec through here.
 func WriteCanonicalSpec(w io.Writer, sp *Spec) {
 	names := sp.VarNames()
 	var b strings.Builder

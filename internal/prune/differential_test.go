@@ -39,7 +39,7 @@ func protocolKeys(groups []protocol.Group) map[protocol.Key]bool {
 }
 
 // TestPrunedSearchIdenticalWinner is the differential oracle on the
-// committed case studies: the quotiented, memoized search must return the
+// committed case studies: the quotiented search must return the
 // same winning schedule and the byte-identical protocol (same transition
 // groups) the unpruned search returns, over both the rotation list and the
 // full k! space.
@@ -69,9 +69,7 @@ func TestPrunedSearchIdenticalWinner(t *testing.T) {
 			g := DeriveGroup(c.spec)
 			q := NewQuotientStream(g, core.StreamSchedules(scheds), true)
 			quotiented := drain(q)
-			optsP := opts
-			optsP.Memo = NewMemo(0).ForJob(Scope(c.spec, "explicit", opts.Convergence, opts.CycleResolution))
-			bestP, _, errP := core.TrySchedules(explicitFactory(c.spec), optsP, quotiented, 2)
+			bestP, _, errP := core.TrySchedules(explicitFactory(c.spec), opts, quotiented, 2)
 
 			if (errU == nil) != (errP == nil) {
 				t.Fatalf("outcome diverged: unpruned err=%v, pruned err=%v", errU, errP)
@@ -87,53 +85,6 @@ func TestPrunedSearchIdenticalWinner(t *testing.T) {
 			}
 			if !g.Trivial() && q.Stats().Pruned == 0 {
 				t.Fatal("non-trivial group pruned nothing")
-			}
-		})
-	}
-}
-
-// TestMemoReplayIdentical re-runs the same schedule with a warm memo: the
-// rank-snapshot and prefix replays must reproduce the cold run exactly —
-// the same protocol on success (coloring) and the same failure on a losing
-// schedule (matching-4's default schedule keeps deadlocks).
-func TestMemoReplayIdentical(t *testing.T) {
-	for _, name := range []string{"coloring", "matching"} {
-		t.Run(name, func(t *testing.T) {
-			sp := buildSpec(t, name, 4, 0)
-			run := func(memo core.SynthMemo) (*core.Result, error) {
-				e, err := explicit.New(sp, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return core.AddConvergence(e, core.Options{Memo: memo})
-			}
-			cold, coldErr := run(nil)
-			jm := NewMemo(0).ForJob(Scope(sp, "explicit", core.Strong, core.BatchResolution))
-			warming, warmingErr := run(jm)
-			warm, warmErr := run(jm)
-			if jm.Hits() == 0 {
-				t.Fatal("second memoized run scored no hits")
-			}
-			for i, r := range []struct {
-				res *core.Result
-				err error
-			}{{warming, warmingErr}, {warm, warmErr}} {
-				if (coldErr == nil) != (r.err == nil) {
-					t.Fatalf("run %d: outcome diverged: cold err=%v, memoized err=%v", i, coldErr, r.err)
-				}
-				if coldErr != nil {
-					if coldErr.Error() != r.err.Error() {
-						t.Fatalf("run %d: failure diverged: cold %q, memoized %q", i, coldErr, r.err)
-					}
-					continue
-				}
-				if !reflect.DeepEqual(protoKeys(cold.Protocol), protoKeys(r.res.Protocol)) {
-					t.Fatalf("run %d: memoized protocol differs from cold run", i)
-				}
-				if r.res.PassCompleted != cold.PassCompleted || len(r.res.Added) != len(cold.Added) || len(r.res.Removed) != len(cold.Removed) {
-					t.Fatalf("run %d: stats diverged: pass=%d/%d added=%d/%d removed=%d/%d", i,
-						r.res.PassCompleted, cold.PassCompleted, len(r.res.Added), len(cold.Added), len(r.res.Removed), len(cold.Removed))
-				}
 			}
 		})
 	}

@@ -60,8 +60,7 @@ func FuzzQuotientCoverage(f *testing.F) {
 
 		factory := explicitFactory(sp)
 		bestU, _, errU := core.TrySchedules(factory, core.Options{}, all, 2)
-		optsP := core.Options{Memo: NewMemo(0).ForJob(Scope(sp, "explicit", core.Strong, core.BatchResolution))}
-		bestP, _, errP := core.TrySchedules(factory, optsP, reps, 2)
+		bestP, _, errP := core.TrySchedules(factory, core.Options{}, reps, 2)
 		if (errU == nil) != (errP == nil) {
 			t.Fatalf("outcome diverged: unpruned err=%v, pruned err=%v", errU, errP)
 		}

@@ -202,16 +202,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	entries, bytes := s.cache.stats()
-	memo := s.MemoStats()
 	jc := s.JobCounts()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WritePrometheus(w, map[string]float64{
 		"stsyn_queue_depth":                  float64(s.QueueDepth()),
 		"stsyn_cache_entries":                float64(entries),
 		"stsyn_cache_bytes":                  float64(bytes),
-		"stsyn_memo_entries":                 float64(memo.Entries),
-		"stsyn_memo_bytes":                   float64(memo.Bytes),
-		"stsyn_memo_evictions":               float64(memo.Evictions),
 		"stsyn_retry_after_hint_seconds":     float64(s.retryAfterHint()),
 		"stsyn_async_jobs_queued":            float64(jc.Queued),
 		"stsyn_async_jobs_running":           float64(jc.Running),

@@ -60,8 +60,6 @@ type Metrics struct {
 	// Search-space pruning observability, aggregated across prune-enabled
 	// jobs.
 	PruneSchedulesPruned atomic.Int64 // schedules dropped by the orbit quotient
-	PruneMemoHits        atomic.Int64 // fixpoint-memo hits
-	PruneMemoMisses      atomic.Int64 // fixpoint-memo misses
 
 	mu      sync.Mutex
 	latency map[string]*histogram // per engine
@@ -98,15 +96,13 @@ func (m *Metrics) ObserveExplicit(s *ExplicitStats) {
 	m.ExplicitGroupTests.Add(int64(s.GroupTests))
 }
 
-// ObservePrune folds one finished prune-enabled job's quotient and memo
-// counters into the service-level counters.
+// ObservePrune folds one finished prune-enabled job's quotient counters
+// into the service-level counters.
 func (m *Metrics) ObservePrune(s *PruneStats) {
 	if s == nil {
 		return
 	}
 	m.PruneSchedulesPruned.Add(int64(s.SchedulesPruned))
-	m.PruneMemoHits.Add(s.MemoHits)
-	m.PruneMemoMisses.Add(s.MemoMisses)
 }
 
 // latencyBucketsMS are the job-duration histogram bucket upper bounds in
@@ -190,8 +186,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges map[string]float64) {
 	counter("stsyn_explicit_group_tests_total", "Explicit-engine per-group membership tests across jobs.", m.ExplicitGroupTests.Load())
 	counter("stsyn_rank_infinity_fastfail_total", "Rank-infinity fast-fail short-circuits across synthesis jobs.", m.RankInfinityFastFail.Load())
 	counter("stsyn_prune_schedules_pruned_total", "Schedules dropped by the symmetry orbit quotient.", m.PruneSchedulesPruned.Load())
-	counter("stsyn_prune_memo_hits_total", "Fixpoint-memo hits across prune-enabled jobs.", m.PruneMemoHits.Load())
-	counter("stsyn_prune_memo_misses_total", "Fixpoint-memo misses across prune-enabled jobs.", m.PruneMemoMisses.Load())
 
 	if gauges == nil {
 		gauges = map[string]float64{}

@@ -38,11 +38,6 @@ type Config struct {
 	// CacheBytes is the result cache budget (default 64 MiB). Negative
 	// disables caching.
 	CacheBytes int64
-	// MemoBytes is the budget of the cross-schedule fixpoint memo serving
-	// prune-enabled jobs (default prune.DefaultMemoBytes). Negative
-	// disables the memo — pruned jobs then still quotient the schedule
-	// space but share no sub-results.
-	MemoBytes int64
 	// JobsMax bounds the async job store: live jobs plus retained terminal
 	// results (default 1024). A full store answers QueueFull.
 	JobsMax int
@@ -69,7 +64,6 @@ type Server struct {
 	cfg       Config
 	jobs      chan *job
 	cache     *resultCache
-	memo      *prune.Memo // nil when MemoBytes < 0
 	store     *jobs.Store // async job store
 	admission *admission  // nil when TenantRate < 0
 	metrics   *Metrics
@@ -138,9 +132,6 @@ func New(cfg Config) *Server {
 	if cfg.TenantRate > 0 {
 		s.admission = newAdmission(cfg.TenantRate, cfg.TenantBurst)
 	}
-	if cfg.MemoBytes >= 0 {
-		s.memo = prune.NewMemo(cfg.MemoBytes)
-	}
 	if s.logf == nil {
 		s.logf = func(string, ...interface{}) {}
 	}
@@ -159,15 +150,6 @@ func (s *Server) QueueDepth() int { return len(s.jobs) }
 
 // CacheStats returns the result cache's entry count and bytes in use.
 func (s *Server) CacheStats() (entries int, bytes int64) { return s.cache.stats() }
-
-// MemoStats returns the cross-schedule fixpoint memo's counters (zeros
-// when the memo is disabled).
-func (s *Server) MemoStats() prune.MemoStats {
-	if s.memo == nil {
-		return prune.MemoStats{}
-	}
-	return s.memo.Stats()
-}
 
 // retryAfterHint estimates, in whole seconds, how long a rejected client
 // should wait before retrying: the current backlog (plus the rejected job
@@ -394,7 +376,7 @@ func timeoutError(err error) *Error {
 // synthesize runs the job on the shared job path and turns a failed
 // verdict into an internal error: a returned protocol is always verified.
 func (s *Server) synthesize(ctx context.Context, norm *Job) (*Response, error) {
-	out, err := Run(ctx, norm, s.memo)
+	out, err := Run(ctx, norm)
 	if err != nil {
 		return nil, err
 	}
@@ -414,33 +396,29 @@ type Outcome struct {
 	Response *Response
 }
 
-// Run is the one job path of every front end: the prune group and memo
-// scope, the fan-out over the rotations (quotiented when pruning), the
-// final synthesis, its verification and the encoding. memo (nil: none)
-// shares sub-results across the job's schedules when it prunes; ctx bounds
-// the run. A fan-out job's Schedule becomes the winning schedule. A failed
-// verdict is reported in the Outcome, not as an error.
-func Run(ctx context.Context, norm *Job, memo *prune.Memo) (*Outcome, error) {
+// Run is the one job path of every front end: the prune group, the
+// fan-out over the rotations (quotiented when pruning), the synthesis, its
+// verification and the encoding; ctx bounds the run. A fan-out job's
+// Schedule becomes the winning schedule, and the winner's engine and result
+// are verified and encoded as they are, without a second synthesis. A
+// failed verdict is reported in the Outcome, not as an error.
+func Run(ctx context.Context, norm *Job) (*Outcome, error) {
 	factory := func() (core.Engine, error) { return cli.NewEngine(norm.Spec, norm.Engine) }
 	opts := norm.Options()
 	opts.Ctx = ctx
 
-	// Prune-enabled jobs get the spec's schedule-automorphism group and a
-	// scope into the memo. Both legs preserve the result bit for bit: the
-	// quotient drops only orbit-mates of schedules that still run, and memo
-	// hits replay exactly what recomputation would produce.
+	// Prune-enabled jobs get the spec's schedule-automorphism group. The
+	// quotient preserves the result bit for bit: it drops only orbit-mates
+	// of schedules that still run.
 	var group *prune.Group
-	var jobMemo *prune.JobMemo
 	var pruneStats *PruneStats
 	if norm.Prune {
 		group = prune.DeriveGroup(norm.Spec)
 		pruneStats = &PruneStats{GroupSize: group.Size()}
-		if memo != nil {
-			jobMemo = memo.ForJob(prune.Scope(norm.Spec, norm.Engine, norm.Convergence, norm.Resolution))
-			opts.Memo = jobMemo
-		}
 	}
 
+	var e core.Engine
+	var res *core.Result
 	if norm.Fanout {
 		stream := core.StreamSchedules(core.Rotations(len(norm.Spec.Procs)))
 		if group != nil {
@@ -464,16 +442,15 @@ func Run(ctx context.Context, norm *Job, memo *prune.Memo) (*Outcome, error) {
 			return nil, err
 		}
 		norm.Schedule = best.Schedule
-		opts.Schedule = best.Schedule
-	}
-
-	e, err := factory()
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.AddConvergence(e, opts)
-	if err != nil {
-		return nil, err
+		e, res = best.Engine, best.Result
+	} else {
+		var err error
+		if e, err = factory(); err != nil {
+			return nil, err
+		}
+		if res, err = core.AddConvergence(e, opts); err != nil {
+			return nil, err
+		}
 	}
 
 	verdict := verify.StronglyStabilizing(e, res.Protocol)
@@ -486,12 +463,6 @@ func Run(ctx context.Context, norm *Job, memo *prune.Memo) (*Outcome, error) {
 		return nil, err
 	}
 	resp := EncodeResult(e, res, norm, verdict.OK)
-	if pruneStats != nil {
-		if jobMemo != nil {
-			pruneStats.MemoHits = jobMemo.Hits()
-			pruneStats.MemoMisses = jobMemo.Misses()
-		}
-		resp.Prune = pruneStats
-	}
+	resp.Prune = pruneStats
 	return &Outcome{Engine: e, Result: res, Verdict: verdict, Response: resp}, nil
 }

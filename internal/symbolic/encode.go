@@ -110,24 +110,6 @@ func newLayoutOrdered(sp *protocol.Spec, order []int) *layout {
 	return l
 }
 
-// fingerprint hashes the layout (variable order and widths) with FNV-1a.
-// Exported set snapshots carry it so a snapshot taken under one order is
-// never misread as node indices of another.
-func (l *layout) fingerprint() uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	mix := func(v int) {
-		h ^= uint64(uint32(v))
-		h *= prime
-	}
-	mix(len(l.order))
-	for _, id := range l.order {
-		mix(id)
-		mix(l.bitsOf[id])
-	}
-	return h
-}
-
 // curLevel returns the BDD level of bit b (0 = MSB) of variable id in the
 // current state; nextLevel the corresponding next-state level.
 func (l *layout) curLevel(id, b int) int  { return 2 * (l.firstBit[id] + b) }

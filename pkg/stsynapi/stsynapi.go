@@ -47,13 +47,12 @@ type Request struct {
 	// Fanout tries all cyclic-rotation schedules in parallel and keeps the
 	// first success; Schedule must be empty.
 	Fanout bool `json:"fanout,omitempty"`
-	// Prune enables symmetry-quotient schedule pruning and the
-	// cross-schedule fixpoint memo: with Fanout, orbit-equivalent schedules
-	// are searched once; with or without it, rank/fixpoint sub-results are
-	// shared through the server's memo. The synthesized protocol is
-	// byte-identical to the unpruned run. Requires batch resolution (the
-	// default): incremental cycle resolution is not equivariant under the
-	// symmetry group.
+	// Prune enables symmetry-quotient schedule pruning: with Fanout,
+	// orbit-equivalent schedules are searched once, and the response
+	// carries a prune block. The synthesized protocol is byte-identical to
+	// the unpruned run. Requires batch resolution (the default):
+	// incremental cycle resolution is not equivariant under the symmetry
+	// group.
 	Prune bool `json:"prune,omitempty"`
 
 	// Deprecated: accepted and ignored. Each engine has one SCC
@@ -163,15 +162,13 @@ type ExplicitStats struct {
 }
 
 // PruneStats is the JSON rendering of one job's symmetry-pruning activity:
-// the derived automorphism group's size, the quotient's schedule counters
-// (zero for single-schedule jobs, where there is nothing to quotient), and
-// this job's hits and misses against the cross-schedule fixpoint memo.
+// the derived automorphism group's size and the quotient's schedule
+// counters (zero for single-schedule jobs, where there is nothing to
+// quotient).
 type PruneStats struct {
-	GroupSize        int   `json:"group_size"`
-	SchedulesEmitted int   `json:"schedules_emitted"`
-	SchedulesPruned  int   `json:"schedules_pruned"`
-	MemoHits         int64 `json:"memo_hits"`
-	MemoMisses       int64 `json:"memo_misses"`
+	GroupSize        int `json:"group_size"`
+	SchedulesEmitted int `json:"schedules_emitted"`
+	SchedulesPruned  int `json:"schedules_pruned"`
 }
 
 // Job states of the async API. A job is terminal exactly when its state

@@ -54,10 +54,11 @@ go test -race -count=1 \
     ./internal/service
 
 # Front-end parity: the stsyn CLI must answer exactly as the service does
-# for the same job, and the dist coordinator must reject options the
-# workers would reject before it shards, so drift between the front ends
-# fails a named step.
-go test -race -count=1 -run='^(TestCLIMatchesService|TestCoordinatorRejectsBadOptions)$' ./cmd/stsyn ./internal/dist
+# for the same job, a fan-out job must answer the same on every run (the
+# cache stores whichever run came first), and the dist coordinator must
+# reject options the workers would reject before it shards, so drift
+# between the front ends fails a named step.
+go test -race -count=1 -run='^(TestCLIMatchesService|TestCoordinatorRejectsBadOptions|TestFanoutResponseReproducible)$' ./cmd/stsyn ./internal/dist ./internal/service
 
 # Coverage floor for the BDD manager: the GC and cache paths must stay
 # exercised by the property tests.
