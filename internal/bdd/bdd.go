@@ -80,12 +80,17 @@ type Manager struct {
 	opStores [opCodes]uint64
 }
 
+// cacheEntry is one way of the operation cache. Op codes start at 1, so
+// an entry whose op is 0 is an empty way: New and the GC's clear leave
+// every way zeroed.
 type cacheEntry struct {
 	op      uint32
 	a, b, c Ref
 	result  Ref
-	valid   bool
 }
+
+// occupied reports whether the way holds a result.
+func (e *cacheEntry) occupied() bool { return e.op != 0 }
 
 // Operation codes for the cache.
 const (
@@ -428,7 +433,7 @@ func (m *Manager) cacheSlot(op uint32, a, b, c Ref) uint32 {
 }
 
 func (e *cacheEntry) is(op uint32, a, b, c Ref) bool {
-	return e.valid && e.op == op && e.a == a && e.b == b && e.c == c
+	return e.op == op && e.a == a && e.b == b && e.c == c
 }
 
 func (m *Manager) cacheGet(op uint32, a, b, c Ref) (Ref, bool) {
@@ -449,7 +454,7 @@ func (m *Manager) cacheGet(op uint32, a, b, c Ref) (Ref, bool) {
 		*e0, *e1 = *e1, *e0
 		return r, true
 	}
-	if e0.valid && e1.valid {
+	if e0.occupied() && e1.occupied() {
 		// Both ways occupied by other keys: the cachePut completing this
 		// operation will evict the victim way. Detected here rather than in
 		// cachePut so the store stays a cheap unconditional shift.
@@ -470,7 +475,7 @@ func (m *Manager) cachePut(op uint32, a, b, c, r Ref) {
 		// entry, whose eviction the probe above already counted).
 		m.cache[s+1] = *e0
 	}
-	*e0 = cacheEntry{op: op, a: a, b: b, c: c, result: r, valid: true}
+	*e0 = cacheEntry{op: op, a: a, b: b, c: c, result: r}
 }
 
 // cacheConflict records a conflict eviction and, under heavy pressure — one
@@ -497,13 +502,13 @@ func (m *Manager) growCache(n int) {
 	for _, way := range []int{0, 1} {
 		for i := way; i < len(old); i += 2 {
 			e := old[i]
-			if !e.valid {
+			if !e.occupied() {
 				continue
 			}
 			s := m.cacheSlot(e.op, e.a, e.b, e.c)
-			if !m.cache[s].valid {
+			if !m.cache[s].occupied() {
 				m.cache[s] = e
-			} else if !m.cache[s+1].valid {
+			} else if !m.cache[s+1].occupied() {
 				m.cache[s+1] = e
 			}
 		}

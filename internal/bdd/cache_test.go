@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // auditCacheStats checks the cross-counter invariants of the operation
@@ -240,4 +241,17 @@ func TestPerOpBreakdown(t *testing.T) {
 		t.Fatalf("repeated Intersects hit %d times, want 1", got.Hits-hits)
 	}
 	auditCacheStats(t, m)
+}
+
+// TestCacheEntrySize pins the 20-byte entry: five 4-byte fields and no
+// occupancy flag (op code 0 marks an empty way). A flag would pad every
+// entry to 24 bytes and grow each manager's default op cache by 256 KiB.
+func TestCacheEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(cacheEntry{}); got != 20 {
+		t.Fatalf("cacheEntry is %d bytes, want 20", got)
+	}
+	var empty cacheEntry
+	if empty.occupied() {
+		t.Fatal("the zero entry must read as an empty way")
+	}
 }

@@ -158,24 +158,10 @@ func (b *Bitset) ClearAll() *Bitset {
 	return b
 }
 
-// CopyFrom makes b an exact copy of o (same universe size required).
-func (b *Bitset) CopyFrom(o *Bitset) *Bitset {
-	copy(b.words, o.words)
-	return b
-}
-
 // OrInPlace sets b = b ∪ o.
 func (b *Bitset) OrInPlace(o *Bitset) *Bitset {
 	for i, w := range o.words {
 		b.words[i] |= w
-	}
-	return b
-}
-
-// AndInto sets b = a ∩ o. b may alias a or o.
-func (b *Bitset) AndInto(a, o *Bitset) *Bitset {
-	for i := range b.words {
-		b.words[i] = a.words[i] & o.words[i]
 	}
 	return b
 }
@@ -215,29 +201,18 @@ func (b *Bitset) IntersectsBoth(o1, o2 *Bitset) bool {
 // result needs no trim pass of its own.
 func (b *Bitset) OrShiftMasked(x *Bitset, delta int64, mask *Bitset) *Bitset {
 	w, s, m := b.words, x.words, mask.words
-	xlo, xhi := 0, len(s)-1
 	if delta >= 0 {
 		q := int(delta / 64)
 		r := uint(delta % 64)
 		// Output word i reads s[i-q] (and s[i-q-1] when r≠0), so only
-		// i ∈ [xlo+q, xhi+q(+1)] can change.
-		hi := xhi + q
-		if r != 0 {
-			hi++
-		}
-		if hi > len(w)-1 {
-			hi = len(w) - 1
-		}
+		// i ≥ q can change.
 		if r == 0 {
-			for i := hi; i >= xlo+q; i-- {
+			for i := len(w) - 1; i >= q; i-- {
 				w[i] |= s[i-q] & m[i]
 			}
 		} else {
-			for i := hi; i >= xlo+q; i-- {
-				var v uint64
-				if i-q <= xhi {
-					v = s[i-q] << r
-				}
+			for i := len(w) - 1; i >= q; i-- {
+				v := s[i-q] << r
 				if i-q-1 >= 0 {
 					v |= s[i-q-1] >> (64 - r)
 				}
@@ -250,24 +225,14 @@ func (b *Bitset) OrShiftMasked(x *Bitset, delta int64, mask *Bitset) *Bitset {
 	q := int(d / 64)
 	r := uint(d % 64)
 	// Output word i reads s[i+q] (and s[i+q+1] when r≠0), so only
-	// i ∈ [xlo-q(-1), xhi-q] can change.
-	lo := xlo - q
-	if r != 0 {
-		lo--
-	}
-	if lo < 0 {
-		lo = 0
-	}
+	// i < len(s)-q can change.
 	if r == 0 {
-		for i := lo; i <= xhi-q; i++ {
+		for i := 0; i < len(s)-q; i++ {
 			w[i] |= s[i+q] & m[i]
 		}
 	} else {
-		for i := lo; i <= xhi-q && i < len(w); i++ {
-			var v uint64
-			if i+q >= xlo {
-				v = s[i+q] >> r
-			}
+		for i := 0; i < len(s)-q; i++ {
+			v := s[i+q] >> r
 			if i+q+1 < len(s) {
 				v |= s[i+q+1] << (64 - r)
 			}
@@ -283,22 +248,11 @@ func (b *Bitset) OrShiftMasked(x *Bitset, delta int64, mask *Bitset) *Bitset {
 // the early-exiting per-state scan it replaces. Masks must be trimmed.
 func (b *Bitset) ShiftIntersects(delta int64, m1, m2 *Bitset) bool {
 	s := b.words
-	xlo, xhi := 0, len(s)-1
 	if delta >= 0 {
 		q := int(delta / 64)
 		r := uint(delta % 64)
-		hi := xhi + q
-		if r != 0 {
-			hi++
-		}
-		if hi > len(s)-1 {
-			hi = len(s) - 1
-		}
-		for i := hi; i >= xlo+q; i-- {
-			var v uint64
-			if i-q <= xhi {
-				v = s[i-q] << r
-			}
+		for i := len(s) - 1; i >= q; i-- {
+			v := s[i-q] << r
 			if r != 0 && i-q-1 >= 0 {
 				v |= s[i-q-1] >> (64 - r)
 			}
@@ -315,18 +269,8 @@ func (b *Bitset) ShiftIntersects(delta int64, m1, m2 *Bitset) bool {
 	d := uint64(-delta)
 	q := int(d / 64)
 	r := uint(d % 64)
-	lo := xlo - q
-	if r != 0 {
-		lo--
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	for i := lo; i <= xhi-q && i < len(s); i++ {
-		var v uint64
-		if i+q >= xlo {
-			v = s[i+q] >> r
-		}
+	for i := 0; i < len(s)-q; i++ {
+		v := s[i+q] >> r
 		if r != 0 && i+q+1 < len(s) {
 			v |= s[i+q+1] << (64 - r)
 		}
@@ -402,4 +346,85 @@ func (b *Bitset) ShiftInto(src *Bitset, delta int64) *Bitset {
 		}
 	}
 	return b
+}
+
+// --- Word-list trim kernels ----------------------------------------------
+//
+// The cycle-core trim (trimCore) shrinks one set, the core x, round by
+// round. A delta cluster's contribution to a round, shift(x, delta) ∩
+// mask ∩ x, then shrinks too, word by word: a word it leaves empty stays
+// empty in every later round. The two kernels below exploit that. The
+// first pass visits every word and lists the non-empty ones; later passes
+// visit only the listed words and drop those that went empty.
+
+// wordShift splits the signed bit offset delta into word arithmetic: word
+// i of shift(x, delta) is x[i+q]>>r | x[i+q+1]<<(64-r), with words outside
+// x reading as zero. A Go shift by 64 yields zero, so r = 0 needs no case
+// of its own.
+func wordShift(delta int64) (q int, r uint) {
+	off := -delta
+	return int(off >> 6), uint(off & 63)
+}
+
+// shiftedWord returns word i of shift(x, delta), for (q, r) = wordShift(delta).
+func shiftedWord(s []uint64, i, q int, r uint) uint64 {
+	var v uint64
+	if k := i + q; uint(k) < uint(len(s)) {
+		v = s[k] >> r
+	}
+	if k := i + q + 1; uint(k) < uint(len(s)) {
+		v |= s[k] << (64 - r)
+	}
+	return v
+}
+
+// orShiftCore sets b |= shift(x, delta) ∩ mask ∩ x and appends to words,
+// in ascending order, the index of every word where that set is
+// non-empty. Words where mask misses x cost two loads. b must not alias x
+// or mask.
+func (b *Bitset) orShiftCore(x *Bitset, delta int64, mask *Bitset, words []uint32) []uint32 {
+	q, r := wordShift(delta)
+	w, s, m := b.words, x.words, mask.words[:len(x.words)]
+	for i, mw := range m {
+		mc := mw & s[i]
+		if mc == 0 {
+			continue
+		}
+		if v := shiftedWord(s, i, q, r) & mc; v != 0 {
+			w[i] |= v
+			words = append(words, uint32(i))
+		}
+	}
+	return words
+}
+
+// orShiftCoreListed is orShiftCore over the listed words only. It keeps in
+// place, in order, the words whose part of the set is still non-empty and
+// returns them. As long as x only shrinks between calls, a dropped word
+// would contribute nothing again.
+func (b *Bitset) orShiftCoreListed(x *Bitset, delta int64, mask *Bitset, words []uint32) []uint32 {
+	q, r := wordShift(delta)
+	w, s, m := b.words, x.words, mask.words
+	kept := words[:0]
+	for _, i := range words {
+		if v := shiftedWord(s, int(i), q, r) & m[i] & s[i]; v != 0 {
+			w[i] |= v
+			kept = append(kept, i)
+		}
+	}
+	return kept
+}
+
+// meetInto sets b = s ∩ p, clears s and p, and reports whether b changed.
+func (b *Bitset) meetInto(s, p *Bitset) bool {
+	changed := false
+	w, sw, pw := b.words, s.words[:len(b.words)], p.words[:len(b.words)]
+	for i, old := range w {
+		if v := sw[i] & pw[i]; v != old {
+			w[i] = v
+			changed = true
+		}
+		sw[i], pw[i] = 0, 0
+	}
+	return changed
 }

@@ -36,9 +36,9 @@ type group struct {
 	sdelta   int64    // delta as a signed bit offset (|dst-src| < n < 2^63)
 	unreadW  []uint64 // index weights of the unreadable variables
 	unreadD  []int    // domains of the unreadable variables
-	srcSet   *Bitset  // lazy cache of the source set
+	srcCount uint64   // number of sources: the product of unreadD
+	srcSet   *Bitset  // lazy cache of the source set; never built for a sparse group
 	dstSet   *Bitset  // lazy cache of the destination set (srcSet shifted by delta)
-	srcCount uint64   // |srcSet|, set when srcSet is materialized
 }
 
 func (g *group) Proc() int                     { return g.pg.Proc }
@@ -50,6 +50,7 @@ type Engine struct {
 	ix *protocol.Indexer
 	n  uint64
 
+	nwords   uint64 // words of a bitset over the universe
 	universe *Bitset
 	inv      *Bitset
 
@@ -70,6 +71,10 @@ type Engine struct {
 	// clusters (two per cluster), reused across calls so the trim
 	// allocates no masks in steady state.
 	masks []*Bitset
+
+	// trimWords pools the word lists of trimCore's clusters, one run of
+	// word indices per cluster and direction, grown to the largest call.
+	trimWords []uint32
 
 	// labels is SCCGroups' state → component-label array, pooled like
 	// masks; nextLabel is the first label no call has used yet.
@@ -119,6 +124,7 @@ func New(sp *protocol.Spec, maxStates uint64) (*Engine, error) {
 	}
 	e := &Engine{sp: sp, ix: protocol.NewIndexer(sp), n: n}
 	e.universe = NewBitset(n).Not()
+	e.nwords = uint64(len(e.universe.words))
 	e.byKey = make(map[protocol.Key]int)
 
 	e.inv = NewBitset(n)
@@ -186,10 +192,12 @@ func (e *Engine) intern(pg protocol.Group) *group {
 	// and destination is a valid index below n < 2^63, the two's-complement
 	// reading recovers the signed bit offset of the shift kernels.
 	g.sdelta = int64(g.delta)
+	g.srcCount = 1
 	for id := range e.sp.Vars {
 		if !readSet[id] {
 			g.unreadW = append(g.unreadW, e.varWeight(id))
 			g.unreadD = append(g.unreadD, e.sp.Vars[id].Dom)
+			g.srcCount *= uint64(e.sp.Vars[id].Dom)
 		}
 	}
 	e.byKey[pg.Key()] = g.id
@@ -251,16 +259,26 @@ func (e *Engine) forEachSrc(g *group, f func(src uint64) bool) {
 	}
 }
 
-// sources returns (and caches) the bitset of g's transition sources.
+// sources returns (and caches) the bitset of g's transition sources. Only
+// dense groups cache one: a sparse group's sources are walked with
+// forEachSrc wherever they are needed (see orSources).
 func (e *Engine) sources(g *group) *Bitset {
 	if g.srcSet == nil {
 		b := NewBitset(e.n)
-		n := uint64(0)
-		e.forEachSrc(g, func(src uint64) bool { b.Set(src); n++; return true })
-		g.srcCount = n
+		e.forEachSrc(g, func(src uint64) bool { b.Set(src); return true })
 		g.srcSet = b
 	}
 	return g.srcSet
+}
+
+// orSources sets acc |= src(g): a word pass over the cached source set
+// for a dense group, one state per source for a sparse one.
+func (e *Engine) orSources(g *group, acc *Bitset) {
+	if e.sparse(g) {
+		e.forEachSrc(g, func(src uint64) bool { acc.Set(src); return true })
+		return
+	}
+	acc.OrInPlace(e.sources(g))
 }
 
 // sparse reports whether g's source set is small enough that the per-state
@@ -269,12 +287,11 @@ func (e *Engine) sources(g *group) *Bitset {
 // threshold of a third keeps a safety margin. Groups read most variables on
 // protocols with rich localities (e.g. the two-ring), making their source
 // sets tiny relative to the universe, where a word pass per group would
-// regress. The SCC trim needs no such choice: it pays one word pass per
-// delta cluster and round, shared by all the groups of that delta (see
-// deltaClusters).
+// regress. The rule reads only the group's source count, so a sparse group
+// never holds a universe-sized bitset: on the two-ring 7 168 sparse groups
+// would otherwise pin 16 KiB each.
 func (e *Engine) sparse(g *group) bool {
-	e.sources(g)
-	return g.srcCount*3 < uint64(len(g.srcSet.words))
+	return g.srcCount*3 < e.nwords
 }
 
 // dests returns (and caches) shift(src(g), Δg): the bitset of g's
@@ -306,7 +323,9 @@ func (e *Engine) ActionGroups() []core.Group    { return append([]core.Group(nil
 func (e *Engine) CandidateGroups() []core.Group { return append([]core.Group(nil), e.candidates...) }
 
 func (e *Engine) GroupSrc(g core.Group) core.Set {
-	return e.sources(g.(*group)).Clone()
+	b := NewBitset(e.n)
+	e.orSources(g.(*group), b)
+	return b
 }
 
 // The image operations below exploit the structural fact recorded in each
@@ -336,7 +355,7 @@ func (e *Engine) GroupDstInto(g core.Group, X core.Set) bool {
 		return e.groupDstIntoScan(gg, x)
 	}
 	// ∃ src ∈ src(g): src+Δ ∈ X  ⇔  src(g) ∩ shift(X, −Δ) ≠ ∅.
-	return x.ShiftIntersects(-gg.sdelta, gg.srcSet, nil)
+	return x.ShiftIntersects(-gg.sdelta, e.sources(gg), nil)
 }
 
 func (e *Engine) GroupFromTo(g core.Group, from, to core.Set) bool {
@@ -350,7 +369,7 @@ func (e *Engine) GroupFromTo(g core.Group, from, to core.Set) bool {
 		return e.groupFromToScan(gg, f, t)
 	}
 	// ∃ src ∈ from ∩ src(g): src+Δ ∈ to  ⇔  shift(to, −Δ) ∩ src(g) ∩ from ≠ ∅.
-	return t.ShiftIntersects(-gg.sdelta, gg.srcSet, f)
+	return t.ShiftIntersects(-gg.sdelta, e.sources(gg), f)
 }
 
 // SCCGroups answers each group in whichever of two ways costs less for
@@ -372,8 +391,7 @@ func (e *Engine) SCCGroups(gs []core.Group, sccs []core.Set) [][]int {
 	var base int32
 	for gi, g := range gs {
 		gg := g.(*group)
-		src := e.sources(gg)
-		if 2*uint64(len(sccs))*uint64(len(src.words)) < 5*gg.srcCount {
+		if 2*uint64(len(sccs))*e.nwords < 5*gg.srcCount {
 			for i, scc := range sccs {
 				if e.GroupFromTo(g, scc, scc) {
 					out[i] = append(out[i], gi)
@@ -429,7 +447,7 @@ func (e *Engine) Pre(gs []core.Group, X core.Set) core.Set {
 			e.preScan(gg, x, acc)
 			return
 		}
-		acc.OrShiftMasked(x, -gg.sdelta, gg.srcSet)
+		acc.OrShiftMasked(x, -gg.sdelta, e.sources(gg))
 	})
 }
 
@@ -446,15 +464,17 @@ func (e *Engine) Post(gs []core.Group, X core.Set) core.Set {
 }
 
 func (e *Engine) EnabledSources(gs []core.Group) core.Set {
-	return e.scanGroups(gs, e.fillSources, func(gg *group, acc *Bitset) {
-		acc.OrInPlace(e.sources(gg))
-	})
+	return e.scanGroups(gs, e.fillSources, e.orSources)
 }
 
 // fillSources and fillDests fill the lazy caches the Pre/EnabledSources
-// and Post kernels read: the source set, plus the destination set of the
-// groups Post shifts word by word.
-func (e *Engine) fillSources(gg *group) { e.sources(gg) }
+// and Post kernels read for the groups they pass over word by word: the
+// source set, and for Post the destination set.
+func (e *Engine) fillSources(gg *group) {
+	if !e.sparse(gg) {
+		e.sources(gg)
+	}
+}
 
 func (e *Engine) fillDests(gg *group) {
 	if !e.sparse(gg) {
@@ -512,11 +532,20 @@ func (e *Engine) groupFromToScan(gg *group, f, t *Bitset) bool {
 // --- Optional core capabilities ------------------------------------------
 
 // GroupSrcIntersects reports whether g's source set intersects X, using the
-// cached source set without cloning it.
+// cached source set of a dense group without cloning it, and walking a
+// sparse group's sources.
 func (e *Engine) GroupSrcIntersects(g core.Group, X core.Set) bool {
-	gg := g.(*group)
+	gg, x := g.(*group), X.(*Bitset)
 	e.kstats.GroupTests++
-	return e.sources(gg).Intersects(X.(*Bitset))
+	if !e.sparse(gg) {
+		return e.sources(gg).Intersects(x)
+	}
+	found := false
+	e.forEachSrc(gg, func(src uint64) bool {
+		found = x.Get(src)
+		return !found
+	})
+	return found
 }
 
 // Dup, OrInto, DiffInto and OrSrcInto implement core.MutableSets: the rank
@@ -533,7 +562,7 @@ func (e *Engine) DiffInto(dst, src core.Set) {
 }
 
 func (e *Engine) OrSrcInto(dst core.Set, g core.Group) {
-	dst.(*Bitset).OrInPlace(e.sources(g.(*group)))
+	e.orSources(g.(*group), dst.(*Bitset))
 }
 
 func (e *Engine) PickState(a core.Set) (protocol.State, bool) {
@@ -555,11 +584,7 @@ func (e *Engine) Singleton(s protocol.State) core.Set {
 func (e *Engine) ProgramSize(gs []core.Group) int {
 	total := 0
 	for _, g := range gs {
-		n := 1
-		for _, d := range g.(*group).unreadD {
-			n *= d
-		}
-		total += n
+		total += int(g.(*group).srcCount)
 	}
 	return total
 }
@@ -575,24 +600,44 @@ func (e *Engine) readKey(idx uint64, pi int) uint64 {
 	return key
 }
 
-// successors appends to buf the targets of transitions from idx under the
-// groups marked in inSet, restricted to states in within. It also reports
-// whether idx has a self-loop.
-func (e *Engine) successors(idx uint64, inSet []bool, within *Bitset, buf []uint64) ([]uint64, bool) {
-	self := false
-	for pi := range e.sp.Procs {
-		for _, gid := range e.procTable[pi][e.readKey(idx, pi)] {
-			if !inSet[gid] {
-				continue
-			}
-			dst := idx + e.all[gid].delta
-			if dst == idx {
-				self = true
-			}
-			if within.Get(dst) {
-				buf = append(buf, dst)
+// succCursor walks the successors of state v in the order of the
+// successor index: process by process, and within a process in the order
+// of its enabled groups, procTable[pi][key]. Start it at pi = -1. It holds
+// no pointers, so a stack of cursors costs the garbage collector nothing.
+type succCursor struct {
+	v    uint64
+	key  uint64 // read key of v for process pi
+	pi   int32  // the process whose enabled groups are being walked
+	j    int32  // next position in procTable[pi][key]
+	self bool   // the walk has passed a self-loop of v
+}
+
+// nextSucc advances c to the next target of a transition from c.v under
+// the groups marked in inSet that lies in within, and returns it; ok is
+// false once the walk is done, and c.self then tells whether c.v has a
+// self-loop.
+func (e *Engine) nextSucc(c *succCursor, inSet []bool, within *Bitset) (dst uint64, ok bool) {
+	for {
+		if c.pi >= 0 {
+			gids := e.procTable[c.pi][c.key]
+			for int(c.j) < len(gids) {
+				gid := gids[c.j]
+				c.j++
+				if !inSet[gid] {
+					continue
+				}
+				dst = c.v + e.all[gid].delta
+				if dst == c.v {
+					c.self = true
+				}
+				if within.Get(dst) {
+					return dst, true
+				}
 			}
 		}
+		if c.pi++; int(c.pi) == len(e.sp.Procs) {
+			return 0, false
+		}
+		c.key, c.j = e.readKey(c.v, int(c.pi)), 0
 	}
-	return buf, self
 }

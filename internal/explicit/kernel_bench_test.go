@@ -77,13 +77,36 @@ func BenchmarkGroupDstIntoReference(b *testing.B) {
 	}
 }
 
-// BenchmarkCyclicSCCs times the trimmed Tarjan search on the coloring
-// instance restricted to ¬I (the region the heuristic scans).
+// BenchmarkCyclicSCCs times the trimmed Tarjan search restricted to ¬I
+// (the region the heuristic scans) on two instances: coloring-12 over all
+// its groups, and the two-ring over its action groups plus every other
+// candidate group. The two-ring's groups are too sparse for word passes
+// and its delta-cluster masks mostly empty, the case the trim's word
+// lists exist for.
 func BenchmarkCyclicSCCs(b *testing.B) {
-	e, gs, x := benchEngine(b, false)
-	for i := 0; i < b.N; i++ {
-		e.CyclicSCCs(gs, x)
-	}
+	b.Run("coloring-12", func(b *testing.B) {
+		e, gs, x := benchEngine(b, false)
+		for i := 0; i < b.N; i++ {
+			e.CyclicSCCs(gs, x)
+		}
+	})
+	b.Run("two-ring", func(b *testing.B) {
+		e, err := New(protocols.TwoRingTokenRing(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gs := e.ActionGroups()
+		for i, g := range e.CandidateGroups() {
+			if i%2 == 0 {
+				gs = append(gs, g)
+			}
+		}
+		x := e.Not(e.Invariant())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.CyclicSCCs(gs, x)
+		}
+	})
 }
 
 // BenchmarkSCCGroups times cycle attribution on two batch shapes: the

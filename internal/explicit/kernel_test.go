@@ -11,6 +11,7 @@ import (
 	"stsyn/internal/protocol"
 	"stsyn/internal/protocols"
 	"stsyn/internal/specgen"
+	"stsyn/internal/verify"
 )
 
 // TestShiftInto exercises the word-level shift kernel directly: positive,
@@ -59,9 +60,6 @@ func TestInPlacePrimitives(t *testing.T) {
 		if got, want := a.Clone().OrInPlace(b), a.Or(b); !got.Equal(want) {
 			t.Fatal("OrInPlace disagrees with Or")
 		}
-		if got, want := NewBitset(n).AndInto(a, b), a.And(b); !got.Equal(want) {
-			t.Fatal("AndInto disagrees with And")
-		}
 		if got, want := NewBitset(n).AndNotInto(a, b), a.Diff(b); !got.Equal(want) {
 			t.Fatal("AndNotInto disagrees with Diff")
 		}
@@ -74,9 +72,6 @@ func TestInPlacePrimitives(t *testing.T) {
 		}
 		if !a.Clone().ClearAll().IsEmpty() {
 			t.Fatal("ClearAll left elements behind")
-		}
-		if !NewBitset(n).CopyFrom(a).Equal(a) {
-			t.Fatal("CopyFrom is not a copy")
 		}
 	}
 }
@@ -178,6 +173,69 @@ func checkKernelEquivalence(t *testing.T, sp *protocol.Spec, seed int64) {
 	}
 	if got, want := kern.EnabledSources(kgs).(*Bitset), ref.EnabledSources(rgs).(*Bitset); !got.Equal(want) {
 		t.Fatal("EnabledSources kernel != reference")
+	}
+	// Source sets one group at a time, materialized and OR-ed into a
+	// random set, which the sparse groups answer without a cached bitset.
+	x := randomSubset(kern, rng)
+	for gi := range kgs {
+		if !kern.GroupSrc(kgs[gi]).(*Bitset).Equal(ref.GroupSrc(rgs[gi]).(*Bitset)) {
+			t.Fatalf("group %d: GroupSrc kernel != reference", gi)
+		}
+		got, want := x.Clone(), x.Clone()
+		kern.OrSrcInto(got, kgs[gi])
+		ref.OrSrcInto(want, rgs[gi])
+		if !got.Equal(want) {
+			t.Fatalf("group %d: OrSrcInto kernel != reference", gi)
+		}
+	}
+	checkSparseSourcesImplicit(t, kern)
+}
+
+// checkSparseSourcesImplicit fails if a sparse group of e holds a source
+// or destination bitset: sparse groups are answered from their source box
+// and must never cost a universe-sized set.
+func checkSparseSourcesImplicit(t *testing.T, e *Engine) {
+	t.Helper()
+	for _, g := range e.all {
+		if e.sparse(g) && (g.srcSet != nil || g.dstSet != nil) {
+			t.Fatalf("sparse group %d (%d sources over %d words) holds a cached bitset", g.id, g.srcCount, e.nwords)
+		}
+	}
+}
+
+// TestSparseGroupSourcesStayImplicit runs synthesis and verification on
+// the two-ring, whose groups are almost all sparse, and on generated
+// specs, and checks that no sparse group ended up with a cached source
+// or destination set. The generated specs' universes span one or two
+// words, so their groups are all dense and every source set is cached:
+// they guard the sparse rule from the other side.
+func TestSparseGroupSourcesStayImplicit(t *testing.T) {
+	specs := []*protocol.Spec{protocols.TwoRingTokenRing()}
+	for seed := int64(0); seed < 4; seed++ {
+		specs = append(specs, specgen.RandomSpec(rand.New(rand.NewSource(seed)), true))
+	}
+	for i, sp := range specs {
+		e, err := New(sp, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		if res, err := core.AddConvergence(e, core.Options{}); err == nil {
+			if v := verify.StronglyStabilizing(e, res.Protocol); !v.OK {
+				t.Fatalf("%s: synthesized protocol rejected: %s", sp.Name, v.Reason)
+			}
+		}
+		checkSparseSourcesImplicit(t, e)
+		if i == 0 {
+			sparse := 0
+			for _, g := range e.all {
+				if e.sparse(g) {
+					sparse++
+				}
+			}
+			if sparse < len(e.all)/2 {
+				t.Fatalf("%s: only %d of %d groups are sparse; the test exercises too little", sp.Name, sparse, len(e.all))
+			}
+		}
 	}
 }
 

@@ -46,9 +46,20 @@ func (r refEngine) Post(gs []core.Group, X core.Set) core.Set {
 func (r refEngine) EnabledSources(gs []core.Group) core.Set {
 	acc := NewBitset(r.n)
 	for _, g := range gs {
-		r.forEachSrc(g.(*group), func(s uint64) bool { acc.Set(s); return true })
+		r.OrSrcInto(acc, g)
 	}
 	return acc
+}
+
+func (r refEngine) GroupSrc(g core.Group) core.Set {
+	acc := NewBitset(r.n)
+	r.OrSrcInto(acc, g)
+	return acc
+}
+
+func (r refEngine) OrSrcInto(dst core.Set, g core.Group) {
+	acc := dst.(*Bitset)
+	r.forEachSrc(g.(*group), func(s uint64) bool { acc.Set(s); return true })
 }
 
 func (r refEngine) GroupDstInto(g core.Group, X core.Set) bool {

@@ -33,17 +33,20 @@ func (e *Engine) CyclicSCCs(gs []core.Group, within core.Set) []core.Set {
 //
 // with src(C) the union of the member groups' source sets. Protocols
 // carry far fewer distinct deltas than groups (two-ring: 74 for its 7 488
-// action and candidate groups), so a trim round costs one word pass per
-// delta and direction instead of one per group.
+// action and candidate groups), so a trim round costs at most one word
+// pass per delta and direction instead of one per group (and the word
+// lists of trimCore cut that pass to the words the cluster still
+// reaches).
 type deltaCluster struct {
 	sdelta   int64
 	src, dst *Bitset
 }
 
 // deltaClusters partitions gs by index delta and builds each cluster's
-// source and destination masks. The masks are taken from a buffer the
-// engine owns and reuses across calls, so a trim allocates no per-call
-// masks.
+// source and destination masks; a sparse member joins its mask through
+// its source box, without a bitset of its own. The masks are taken from a
+// buffer the engine owns and reuses across calls, so a trim allocates no
+// per-call masks.
 func (e *Engine) deltaClusters(gs []core.Group) []deltaCluster {
 	var cs []deltaCluster
 	byDelta := make(map[int64]int)
@@ -55,7 +58,7 @@ func (e *Engine) deltaClusters(gs []core.Group) []deltaCluster {
 			byDelta[gg.sdelta] = k
 			cs = append(cs, deltaCluster{sdelta: gg.sdelta, src: e.clusterMask(2 * k), dst: e.clusterMask(2*k + 1)})
 		}
-		cs[k].src.OrInPlace(e.sources(gg))
+		e.orSources(gg, cs[k].src)
 	}
 	for _, c := range cs {
 		c.dst.ShiftInto(c.src, c.sdelta)
@@ -71,37 +74,65 @@ func (e *Engine) clusterMask(i int) *Bitset {
 	return e.masks[i].ClearAll()
 }
 
+// trimList is the work list of one delta cluster in one direction of the
+// trim: acc |= shift(cc, delta) ∩ mask ∩ cc, over the words
+// e.trimWords[lo:lo+n], where that set was non-empty in the last round.
+type trimList struct {
+	acc, mask *Bitset
+	delta     int64
+	lo, n     int
+}
+
 // trimCore trims w to its cycle core: the greatest subset in which every
 // state has both a successor and a predecessor inside the subset. Every
 // cyclic SCC lies entirely within the core, so Tarjan searches the core
 // instead of w. In the common case — the heuristic keeps the recovery
 // graph acyclic — the core empties out after a few word-level fixpoint
 // rounds and the search is skipped entirely. Each round runs over the
-// delta clusters of gs, not over the groups. Returns nil when canceled.
+// delta clusters of gs, not over the groups, and over the words each
+// cluster still reaches, not over the universe: the first round lists
+// them, and as the core only shrinks, each later round drops the words
+// that went empty. A cluster direction whose list empties retires.
+// Returns nil when canceled.
 func (e *Engine) trimCore(gs []core.Group, w *Bitset) *Bitset {
+	if e.canceled() {
+		return nil
+	}
 	cs := e.deltaClusters(gs)
 	cc := w.Clone()
 	hasSucc := NewBitset(e.n)
 	hasPred := NewBitset(e.n)
-	for {
+	// Pre(C, cc): states of src(C) whose successor stays in cc;
+	// Post(C, cc): states reached from cc ∩ src(C).
+	lists := make([]trimList, 0, 2*len(cs))
+	words := e.trimWords[:0]
+	for _, c := range cs {
+		for _, l := range [2]trimList{
+			{acc: hasSucc, mask: c.src, delta: -c.sdelta},
+			{acc: hasPred, mask: c.dst, delta: c.sdelta},
+		} {
+			l.lo = len(words)
+			words = l.acc.orShiftCore(cc, l.delta, l.mask, words)
+			if l.n = len(words) - l.lo; l.n > 0 {
+				lists = append(lists, l)
+			}
+		}
+	}
+	e.trimWords = words
+	for cc.meetInto(hasSucc, hasPred) {
 		if e.canceled() {
 			return nil
 		}
-		hasSucc.ClearAll()
-		hasPred.ClearAll()
-		for _, c := range cs {
-			// Pre(C, cc): states of src(C) whose successor stays in cc;
-			// Post(C, cc): states reached from cc ∩ src(C).
-			hasSucc.OrShiftMasked(cc, -c.sdelta, c.src)
-			hasPred.OrShiftMasked(cc, c.sdelta, c.dst)
+		live := lists[:0]
+		for _, l := range lists {
+			l.n = len(l.acc.orShiftCoreListed(cc, l.delta, l.mask, words[l.lo:l.lo+l.n]))
+			if l.n > 0 {
+				live = append(live, l)
+			}
 		}
-		hasSucc.AndInto(hasSucc, hasPred)
-		hasSucc.AndInto(hasSucc, cc)
-		if hasSucc.Equal(cc) {
-			return cc
-		}
-		cc.CopyFrom(hasSucc)
+		lists = live
 	}
+	return cc
 }
 
 // tarjanSCCs runs an iterative Tarjan strongly-connected-components search
@@ -122,13 +153,9 @@ func (e *Engine) tarjanSCCs(gs []core.Group, w *Bitset) []core.Set {
 	var sccStack []uint64
 	var next int32
 
-	type frame struct {
-		v     uint64
-		succs []uint64
-		i     int
-		self  bool
-	}
-	var frames []frame
+	// Each frame is the successor cursor of its state, so the search
+	// stores no successor lists and allocates nothing per visited state.
+	var frames []succCursor
 	var results []core.Set
 
 	// Cooperative cancellation: ctx.Err() is checked every cancelCheckMask+1
@@ -137,14 +164,13 @@ func (e *Engine) tarjanSCCs(gs []core.Group, w *Bitset) []core.Set {
 	const cancelCheckMask = 1023
 	var steps uint64
 
-	visit := func(v uint64) frame {
+	visit := func(v uint64) succCursor {
 		index[v] = next
 		lowlink[v] = next
 		next++
 		sccStack = append(sccStack, v)
 		onStack.Set(v)
-		succs, self := e.successors(v, inSet, w, nil)
-		return frame{v: v, succs: succs, self: self}
+		return succCursor{v: v, pi: -1}
 	}
 
 	w.ForEach(func(start uint64) bool {
@@ -157,9 +183,7 @@ func (e *Engine) tarjanSCCs(gs []core.Group, w *Bitset) []core.Set {
 				return false
 			}
 			f := &frames[len(frames)-1]
-			if f.i < len(f.succs) {
-				u := f.succs[f.i]
-				f.i++
+			if u, ok := e.nextSucc(f, inSet, w); ok {
 				if index[u] == unvisited {
 					frames = append(frames, visit(u))
 				} else if onStack.Get(u) && index[u] < lowlink[f.v] {

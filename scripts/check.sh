@@ -60,6 +60,13 @@ go test -race -count=1 \
 # between the front ends fails a named step.
 go test -race -count=1 -run='^(TestCLIMatchesService|TestCoordinatorRejectsBadOptions|TestFanoutResponseReproducible)$' ./cmd/stsyn ./internal/dist ./internal/service
 
+# Explicit kernels: the word-list cycle-core trim against the per-group
+# trim, the word kernels against the per-state oracle, sparse groups
+# answered without a cached bitset, and synthesis re-verified on the
+# oracle, under the race detector (Pre, Post and EnabledSources fan out
+# over goroutines), named here so a kernel regression is unmistakable.
+go test -race -count=1 -run '^(TestTrimCoreMatchesPerGroupTrim|TestKernelEquivalenceBuiltins|TestSparseGroupSourcesStayImplicit|TestProtocolsVerifyOnReferenceEngine)$' ./internal/explicit
+
 # Coverage floor for the BDD manager: the GC and cache paths must stay
 # exercised by the property tests.
 floor=85
