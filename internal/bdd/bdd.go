@@ -653,10 +653,6 @@ func (m *Manager) OrN(fs ...Ref) Ref {
 	return r
 }
 
-// Equiv reports whether f and g denote the same function. With
-// hash-consing this is pointer equality.
-func (m *Manager) Equiv(f, g Ref) bool { return f == g }
-
 // Exists existentially quantifies away every variable in cube, which must
 // be a positive cube (a conjunction of positive literals, e.g. from Cube).
 func (m *Manager) Exists(f, cube Ref) Ref {

@@ -185,16 +185,6 @@ func (b *Bitset) Intersects(o *Bitset) bool {
 	return false
 }
 
-// IntersectsBoth reports whether b ∩ o1 ∩ o2 is non-empty.
-func (b *Bitset) IntersectsBoth(o1, o2 *Bitset) bool {
-	for i, w := range b.words {
-		if w&o1.words[i]&o2.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // OrShiftMasked sets b |= { i+delta : i ∈ x } ∩ mask in a single word pass,
 // with no intermediate set. b must not alias x or mask. The mask must be
 // trimmed (no bits ≥ n), which holds for every engine-owned set, so the

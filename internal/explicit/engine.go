@@ -38,7 +38,6 @@ type group struct {
 	unreadD  []int    // domains of the unreadable variables
 	srcCount uint64   // number of sources: the product of unreadD
 	srcSet   *Bitset  // lazy cache of the source set; never built for a sparse group
-	dstSet   *Bitset  // lazy cache of the destination set (srcSet shifted by delta)
 }
 
 func (g *group) Proc() int                     { return g.pg.Proc }
@@ -64,8 +63,6 @@ type Engine struct {
 	procTable  [][][]int // values are dense group ids
 	readWeight [][]uint64
 	readDom    [][]int
-
-	workers int // image parallelism (0 = GOMAXPROCS)
 
 	// masks pools the source and destination masks of trimCore's delta
 	// clusters (two per cluster), reused across calls so the trim
@@ -294,15 +291,6 @@ func (e *Engine) sparse(g *group) bool {
 	return g.srcCount*3 < e.nwords
 }
 
-// dests returns (and caches) shift(src(g), Δg): the bitset of g's
-// transition destinations, used as the mask of the fused Post kernel.
-func (e *Engine) dests(g *group) *Bitset {
-	if g.dstSet == nil {
-		g.dstSet = NewBitset(e.n).ShiftInto(e.sources(g), g.sdelta)
-	}
-	return g.dstSet
-}
-
 // --- core.Engine implementation -----------------------------------------
 
 func (e *Engine) Spec() *protocol.Spec { return e.sp }
@@ -330,18 +318,18 @@ func (e *Engine) GroupSrc(g core.Group) core.Set {
 
 // The image operations below exploit the structural fact recorded in each
 // group: a transition group is a uniform index translation dst = src + Δ,
-// so its image under a set is one word-level shift —
+// so its preimage of a set is one word-level shift,
 //
-//	Post(g, X) = shift(X ∩ src(g), Δg) = shift(X, Δg) ∩ dst(g)
-//	Pre(g, X)  = shift(X, −Δg) ∩ src(g)
+//	Pre(g, X) = shift(X, −Δg) ∩ src(g),
 //
-// (the second Post form holds because a translation is injective, and it is
-// the one implemented: with dst(g) cached, both images reduce to the fused
-// single-pass primitive acc |= shift(X, ±Δ) ∩ mask). The existence tests
-// (GroupDstInto and friends) are early-exiting shift-and-intersect scans
-// that materialize nothing at all. Groups whose source set is tiny relative
-// to the universe (see sparse) instead keep the per-state scan, which beats
-// a full word pass there; the choice is per group and bit-for-bit neutral.
+// taken by the fused single-pass primitive acc |= shift(X, −Δ) ∩ src(g).
+// The existence tests (GroupDstInto and friends) are early-exiting
+// shift-and-intersect scans that materialize nothing at all. Groups whose
+// source set is tiny relative to the universe (see sparse) instead keep the
+// per-state scan, which beats a full word pass there; the choice is per
+// group and bit-for-bit neutral. Every operation runs on the caller's
+// goroutine: parallelism lives at the schedule level (core.TrySchedules),
+// one engine per schedule.
 
 func (e *Engine) GroupDstInto(g core.Group, X core.Set) bool {
 	gg, x := g.(*group), X.(*Bitset)
@@ -439,10 +427,19 @@ func (e *Engine) labelSCCs(sccs []core.Set) ([]int32, int32) {
 	return e.labels, base
 }
 
+// scanGroups folds every group of gs into one fresh accumulator.
+func (e *Engine) scanGroups(gs []core.Group, fold func(g *group, acc *Bitset)) *Bitset {
+	acc := NewBitset(e.n)
+	for _, g := range gs {
+		fold(g.(*group), acc)
+	}
+	return acc
+}
+
 func (e *Engine) Pre(gs []core.Group, X core.Set) core.Set {
 	x := X.(*Bitset)
 	e.kstats.PreCalls++
-	return e.scanGroups(gs, e.fillSources, func(gg *group, acc *Bitset) {
+	return e.scanGroups(gs, func(gg *group, acc *Bitset) {
 		if e.sparse(gg) {
 			e.preScan(gg, x, acc)
 			return
@@ -451,35 +448,17 @@ func (e *Engine) Pre(gs []core.Group, X core.Set) core.Set {
 	})
 }
 
+// Post walks every group's sources one state at a time. Only diagnostics
+// (recovery paths and cycle witnesses) take images forward, so it has no
+// word kernel and no group caches a destination set for it.
 func (e *Engine) Post(gs []core.Group, X core.Set) core.Set {
 	x := X.(*Bitset)
 	e.kstats.PostCalls++
-	return e.scanGroups(gs, e.fillDests, func(gg *group, acc *Bitset) {
-		if e.sparse(gg) {
-			e.postScan(gg, x, acc)
-			return
-		}
-		acc.OrShiftMasked(x, gg.sdelta, e.dests(gg))
-	})
+	return e.scanGroups(gs, func(gg *group, acc *Bitset) { e.postScan(gg, x, acc) })
 }
 
 func (e *Engine) EnabledSources(gs []core.Group) core.Set {
-	return e.scanGroups(gs, e.fillSources, e.orSources)
-}
-
-// fillSources and fillDests fill the lazy caches the Pre/EnabledSources
-// and Post kernels read for the groups they pass over word by word: the
-// source set, and for Post the destination set.
-func (e *Engine) fillSources(gg *group) {
-	if !e.sparse(gg) {
-		e.sources(gg)
-	}
-}
-
-func (e *Engine) fillDests(gg *group) {
-	if !e.sparse(gg) {
-		e.dests(gg)
-	}
+	return e.scanGroups(gs, e.orSources)
 }
 
 // --- Per-state scans (the sparse-group path) ----------------------------

@@ -20,29 +20,13 @@ func benchEngine(b *testing.B, reference bool) (core.Engine, []core.Group, *Bits
 	}
 	gs := append(e.ActionGroups(), e.CandidateGroups()...)
 	dense := e.Not(e.Invariant()).(*Bitset)
-	// Warm the lazy source/destination caches so steady-state image cost is
-	// measured.
+	// Warm the lazy source caches so steady-state image cost is measured.
 	e.Pre(gs, dense)
-	e.Post(gs, dense)
 	b.ResetTimer()
 	if reference {
 		return refEngine{e}, gs, dense
 	}
 	return e, gs, dense
-}
-
-func BenchmarkPostKernel(b *testing.B) {
-	e, gs, x := benchEngine(b, false)
-	for i := 0; i < b.N; i++ {
-		e.Post(gs, x)
-	}
-}
-
-func BenchmarkPostReference(b *testing.B) {
-	e, gs, x := benchEngine(b, true)
-	for i := 0; i < b.N; i++ {
-		e.Post(gs, x)
-	}
 }
 
 func BenchmarkPreKernel(b *testing.B) {

@@ -212,15 +212,6 @@ func (sp *Spec) CandidateGroups(proc int) []Group {
 	return out
 }
 
-// AllCandidateGroups returns the candidate groups of every process.
-func (sp *Spec) AllCandidateGroups() []Group {
-	var out []Group
-	for pi := range sp.Procs {
-		out = append(out, sp.CandidateGroups(pi)...)
-	}
-	return out
-}
-
 // UnreadCount returns the number of transitions per group of process proc,
 // i.e. the product of the domains of its unreadable variables.
 func (sp *Spec) UnreadCount(proc int) uint64 {

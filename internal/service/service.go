@@ -22,8 +22,11 @@ import (
 // Config configures a Server. Zero values select the documented defaults.
 type Config struct {
 	// Workers is the number of concurrent synthesis workers (default:
-	// GOMAXPROCS). Each job runs one engine; engines are single-threaded,
-	// so this bounds CPU use.
+	// GOMAXPROCS). Engines run on their caller's goroutine, so a
+	// single-schedule job keeps one CPU busy and Workers bounds CPU use for
+	// those jobs. A Fanout job runs up to GOMAXPROCS engines at once on its
+	// worker, one per schedule, so with fan-out jobs in flight CPU use may
+	// exceed Workers.
 	Workers int
 	// QueueDepth is the number of jobs that may wait for a worker before
 	// the server answers 503 (0 selects the default of 64). Negative means
@@ -147,9 +150,6 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // QueueDepth returns the number of jobs currently waiting for a worker.
 func (s *Server) QueueDepth() int { return len(s.jobs) }
-
-// CacheStats returns the result cache's entry count and bytes in use.
-func (s *Server) CacheStats() (entries int, bytes int64) { return s.cache.stats() }
 
 // retryAfterHint estimates, in whole seconds, how long a rejected client
 // should wait before retrying: the current backlog (plus the rejected job

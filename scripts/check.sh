@@ -63,8 +63,8 @@ go test -race -count=1 -run='^(TestCLIMatchesService|TestCoordinatorRejectsBadOp
 # Explicit kernels: the word-list cycle-core trim against the per-group
 # trim, the word kernels against the per-state oracle, sparse groups
 # answered without a cached bitset, and synthesis re-verified on the
-# oracle, under the race detector (Pre, Post and EnabledSources fan out
-# over goroutines), named here so a kernel regression is unmistakable.
+# oracle, under the race detector, named here so a kernel regression is
+# unmistakable.
 go test -race -count=1 -run '^(TestTrimCoreMatchesPerGroupTrim|TestKernelEquivalenceBuiltins|TestSparseGroupSourcesStayImplicit|TestProtocolsVerifyOnReferenceEngine)$' ./internal/explicit
 
 # Coverage floor for the BDD manager: the GC and cache paths must stay
