@@ -23,6 +23,9 @@ type Group interface {
 	Proc() int
 	// ProtocolGroup returns the specification-level identity of the group.
 	ProtocolGroup() protocol.Group
+	// Key returns ProtocolGroup().Key(), computed once when the engine
+	// built the group.
+	Key() protocol.Key
 }
 
 // Engine abstracts a state-space representation: a boolean algebra of state

@@ -21,10 +21,10 @@ func pimFrom(pss, candidates []Group) []Group {
 	out := append([]Group(nil), pss...)
 	seen := make(map[protocol.Key]bool, len(pss))
 	for _, g := range pss {
-		seen[g.ProtocolGroup().Key()] = true
+		seen[g.Key()] = true
 	}
 	for _, g := range candidates {
-		if k := g.ProtocolGroup().Key(); !seen[k] {
+		if k := g.Key(); !seen[k] {
 			seen[k] = true
 			out = append(out, g)
 		}

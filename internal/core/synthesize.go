@@ -262,7 +262,7 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 	}
 	for _, g := range dedupeGroups(e.ActionGroups()) {
 		s.pss = append(s.pss, g)
-		s.inPss[g.ProtocolGroup().Key()] = true
+		s.inPss[g.Key()] = true
 	}
 
 	// Input assumption: I closed in p.
@@ -385,14 +385,14 @@ func (s *synthesizer) removeInitialCycles(res *Result) error {
 				return fmt.Errorf("%w: cycle through state %v uses group %s",
 					ErrUnresolvableCycle, st, g.ProtocolGroup().Render(s.e.Spec()))
 			}
-			remove[g.ProtocolGroup().Key()] = true
+			remove[g.Key()] = true
 		}
 	}
 	var kept []Group
 	for _, g := range s.pss {
-		if remove[g.ProtocolGroup().Key()] {
+		if remove[g.Key()] {
 			res.Removed = append(res.Removed, g)
-			delete(s.inPss, g.ProtocolGroup().Key())
+			delete(s.inPss, g.Key())
 		} else {
 			kept = append(kept, g)
 		}
@@ -433,7 +433,7 @@ func (s *synthesizer) addRecovery(proc int, from, to Set, pass int) {
 	var added []Group
 	allDoomed := true
 	for _, g := range s.candsByProc[proc] {
-		k := g.ProtocolGroup().Key()
+		k := g.Key()
 		if s.inPss[k] {
 			continue
 		}
@@ -501,7 +501,7 @@ func (s *synthesizer) addRecovery(proc int, from, to Set, pass int) {
 		// Doomed groups are skipped: pss ∪ {g} is known cyclic, so the
 		// trial check would reject g anyway.
 		for _, g := range retry {
-			if s.doomed[g.ProtocolGroup().Key()] {
+			if s.doomed[g.Key()] {
 				s.e.Stats().RankInfinityFastFail++
 				continue
 			}
@@ -542,7 +542,7 @@ func (s *synthesizer) accept(g Group) {
 		s.futile = make(map[string]struct{})
 	}
 	s.pss = append(s.pss, g)
-	s.inPss[g.ProtocolGroup().Key()] = true
+	s.inPss[g.Key()] = true
 	if ms, ok := s.e.(MutableSets); ok && s.reg == nil {
 		ms.OrSrcInto(s.enabled, g)
 		return
@@ -567,7 +567,7 @@ func (s *synthesizer) identifyResolveCycles(union, added []Group) (bad []bool) {
 		// future batch check and rejected by every incremental retry —
 		// permanently unacceptable.
 		if s.doomed != nil && len(within) == 1 {
-			if k := added[within[0]].ProtocolGroup().Key(); !s.doomed[k] {
+			if k := added[within[0]].Key(); !s.doomed[k] {
 				s.doomed[k] = true
 				s.doomGrew = true
 			}
@@ -599,7 +599,7 @@ func (s *synthesizer) checkHopeless() bool {
 	}
 	for _, gs := range s.candsByProc {
 		for _, g := range gs {
-			k := g.ProtocolGroup().Key()
+			k := g.Key()
 			if s.inPss[k] || s.doomed[k] {
 				continue
 			}
@@ -619,10 +619,10 @@ func (s *synthesizer) finish(res *Result, pss []Group) {
 	res.Protocol = pss
 	initial := make(map[protocol.Key]bool)
 	for _, g := range dedupeGroups(s.e.ActionGroups()) {
-		initial[g.ProtocolGroup().Key()] = true
+		initial[g.Key()] = true
 	}
 	for _, g := range pss {
-		if !initial[g.ProtocolGroup().Key()] {
+		if !initial[g.Key()] {
 			res.Added = append(res.Added, g)
 		}
 	}
@@ -653,7 +653,7 @@ func dedupeGroups(gs []Group) []Group {
 	seen := make(map[protocol.Key]bool, len(gs))
 	var out []Group
 	for _, g := range gs {
-		if k := g.ProtocolGroup().Key(); !seen[k] {
+		if k := g.Key(); !seen[k] {
 			seen[k] = true
 			out = append(out, g)
 		}
@@ -666,7 +666,7 @@ func dedupeGroups(gs []Group) []Group {
 func (s *synthesizer) batchFingerprint(added []Group) string {
 	var b strings.Builder
 	for _, g := range added {
-		b.WriteString(string(g.ProtocolGroup().Key()))
+		b.WriteString(string(g.Key()))
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -154,11 +154,10 @@ type RunStats struct {
 }
 
 // JobResult is a successful distributed search: the winning worker
-// response (raw bytes exactly as the worker sent them, for byte-level
-// comparison and the journal) and the winning schedule's global index.
+// response, decoded, and the winning schedule's global index. The raw
+// bytes the worker sent stay in the journal only.
 type JobResult struct {
 	Winner      *service.Response
-	WinnerRaw   json.RawMessage
 	WinIndex    int
 	WinSchedule []int
 	Stats       RunStats
@@ -413,7 +412,6 @@ func (c *Coordinator) finish(st *runState) (*JobResult, error) {
 	}
 	return &JobResult{
 		Winner:      st.bestResp,
-		WinnerRaw:   st.bestRaw,
 		WinIndex:    st.bestIdx,
 		WinSchedule: st.bestSchedule,
 		Stats:       st.stats,

@@ -281,7 +281,7 @@ func recordingMW(mu *sync.Mutex, schedules *[][]int) func(http.Handler) http.Han
 // A restarted coordinator resumes from its journal: shards recorded as
 // complete are never re-dispatched, and once the winner itself is in the
 // journal a further restart needs zero worker requests and returns the
-// byte-identical recorded response.
+// recorded response.
 func TestCoordinatorResumesFromJournal(t *testing.T) {
 	var mu sync.Mutex
 	var requested [][]int
@@ -333,7 +333,7 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 	}
 
 	// Restart again: the journal now proves the winner — zero requests,
-	// byte-identical recorded response.
+	// the recorded response, decoded identically.
 	coord2 := newTestCoordinator(t,
 		Config{ShardSize: 2, Concurrency: 2, JournalPath: path},
 		ClientConfig{Workers: []string{w1.URL}})
@@ -348,8 +348,8 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 		t.Errorf("resumed winner (%d, %v) != original (%d, %v)",
 			res2.WinIndex, res2.WinSchedule, res.WinIndex, res.WinSchedule)
 	}
-	if !bytes.Equal(res2.WinnerRaw, res.WinnerRaw) {
-		t.Error("resumed winner response not byte-identical to the recorded one")
+	if !reflect.DeepEqual(res2.Winner, res.Winner) {
+		t.Error("resumed winner response differs from the recorded one")
 	}
 	mu.Lock()
 	after := len(requested)
@@ -512,8 +512,8 @@ func TestClusterSmoke(t *testing.T) {
 	if res2.Stats.Requests != 0 {
 		t.Errorf("second run issued %d worker requests, want 0", res2.Stats.Requests)
 	}
-	if !bytes.Equal(res2.WinnerRaw, res.WinnerRaw) {
-		t.Error("second run's winner not byte-identical")
+	if !reflect.DeepEqual(res2.Winner, res.Winner) {
+		t.Error("second run's winner differs from the first")
 	}
 }
 

@@ -253,7 +253,7 @@ func protocolDigest(keys []protocol.Key) string {
 func protocolKeys(gs []core.Group) []protocol.Key {
 	keys := make([]protocol.Key, 0, len(gs))
 	for _, g := range gs {
-		keys = append(keys, g.ProtocolGroup().Key())
+		keys = append(keys, g.Key())
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys

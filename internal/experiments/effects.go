@@ -166,7 +166,7 @@ func ScheduleEffect(name string, newEngine core.EngineFactory, schedules [][]int
 		}
 		keys := make([]string, 0, len(res.Protocol))
 		for _, g := range res.Protocol {
-			keys = append(keys, string(g.ProtocolGroup().Key()))
+			keys = append(keys, string(g.Key()))
 		}
 		sort.Strings(keys)
 		distinct[strings.Join(keys, "|")] = true

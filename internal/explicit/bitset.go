@@ -232,6 +232,23 @@ func (b *Bitset) OrShiftMasked(x *Bitset, delta int64, mask *Bitset) *Bitset {
 	return b
 }
 
+// orShiftSpan sets b |= { i+delta : i ∈ b } for delta > 0, where every
+// element of b lies in [lo, hi] and hi+delta < n. It visits only the words
+// of [lo+delta, hi+delta], high to low, so each reads the words below it
+// before they change and b may shift into itself.
+func (b *Bitset) orShiftSpan(lo, hi, delta uint64) {
+	w := b.words
+	q, r := int(delta/64), uint(delta%64)
+	for i := int((hi + delta) / 64); i >= int((lo+delta)/64); i-- {
+		v := w[i-q] << r
+		if k := i - q - 1; k >= 0 {
+			// A Go shift by 64 yields zero, so r = 0 needs no case of its own.
+			v |= w[k] >> (64 - r)
+		}
+		w[i] |= v
+	}
+}
+
 // ShiftIntersects reports whether shift(b, delta) ∩ m1 (∩ m2 when m2 is
 // non-nil) is non-empty, without materializing the shifted set. The scan
 // exits on the first intersecting word, so on dense inputs it is O(1) like

@@ -30,18 +30,20 @@ func AutoSelects(sp *protocol.Spec) bool {
 // is { (s, s+delta) : s matches the readable valuation }.
 type group struct {
 	pg       protocol.Group
+	key      protocol.Key
 	id       int
 	srcBase  uint64   // index contribution of the readable valuation
 	delta    uint64   // wrapping dst-src delta
 	sdelta   int64    // delta as a signed bit offset (|dst-src| < n < 2^63)
-	unreadW  []uint64 // index weights of the unreadable variables
-	unreadD  []int    // domains of the unreadable variables
+	unreadW  []uint64 // index weights of the unreadable variables, shared by the process's groups
+	unreadD  []int    // domains of the unreadable variables, likewise shared
 	srcCount uint64   // number of sources: the product of unreadD
 	srcSet   *Bitset  // lazy cache of the source set; never built for a sparse group
 }
 
 func (g *group) Proc() int                     { return g.pg.Proc }
 func (g *group) ProtocolGroup() protocol.Group { return g.pg }
+func (g *group) Key() protocol.Key             { return g.key }
 
 // Engine is the explicit-state implementation of core.Engine.
 type Engine struct {
@@ -63,6 +65,13 @@ type Engine struct {
 	procTable  [][][]int // values are dense group ids
 	readWeight [][]uint64
 	readDom    [][]int
+
+	// The unreadable variables of each process: their index weights and
+	// domains, in ascending variable order, and the product of the domains.
+	// Every group of the process shares these slices.
+	unreadW  [][]uint64
+	unreadD  [][]int
+	srcCount []uint64
 
 	// masks pools the source and destination masks of trimCore's delta
 	// clusters (two per cluster), reused across calls so the trim
@@ -122,26 +131,39 @@ func New(sp *protocol.Spec, maxStates uint64) (*Engine, error) {
 	e := &Engine{sp: sp, ix: protocol.NewIndexer(sp), n: n}
 	e.universe = NewBitset(n).Not()
 	e.nwords = uint64(len(e.universe.words))
-	e.byKey = make(map[protocol.Key]int)
 
 	e.inv = NewBitset(n)
+	// Step the state vector like an odometer, last variable fastest, so s
+	// always holds the valuation of index i without decoding it.
 	s := make(protocol.State, len(sp.Vars))
 	for i := uint64(0); i < n; i++ {
-		e.ix.Decode(i, s)
 		if sp.Invariant.EvalBool(s) {
 			e.inv.Set(i)
 		}
+		for j := len(s) - 1; j >= 0; j-- {
+			if s[j]++; s[j] < sp.Vars[j].Dom {
+				break
+			}
+			s[j] = 0
+		}
 	}
 
-	// Per-process read-key machinery.
-	e.procTable = make([][][]int, len(sp.Procs))
-	e.readWeight = make([][]uint64, len(sp.Procs))
-	e.readDom = make([][]int, len(sp.Procs))
+	// Per-process read-key and unread-variable machinery.
+	np := len(sp.Procs)
+	e.procTable = make([][][]int, np)
+	e.readWeight = make([][]uint64, np)
+	e.readDom = make([][]int, np)
+	e.unreadW = make([][]uint64, np)
+	e.unreadD = make([][]int, np)
+	e.srcCount = make([]uint64, np)
+	read := make([]bool, len(sp.Vars))
+	groups := 0
 	for pi := range sp.Procs {
 		p := &sp.Procs[pi]
 		doms := make([]int, len(p.Reads))
 		for i, id := range p.Reads {
 			doms[i] = sp.Vars[id].Dom
+			read[id] = true
 		}
 		w := make([]uint64, len(p.Reads))
 		acc := uint64(1)
@@ -152,7 +174,28 @@ func New(sp *protocol.Spec, maxStates uint64) (*Engine, error) {
 		e.readDom[pi] = doms
 		e.readWeight[pi] = w
 		e.procTable[pi] = make([][]int, acc)
+
+		count := uint64(1)
+		for id, v := range sp.Vars {
+			if read[id] {
+				read[id] = false
+				continue
+			}
+			e.unreadW[pi] = append(e.unreadW[pi], e.ix.Weight(id))
+			e.unreadD[pi] = append(e.unreadD[pi], v.Dom)
+			count *= uint64(v.Dom)
+		}
+		e.srcCount[pi] = count
+		// Every group of the process has one of acc readable and wprod
+		// written valuations: size the key index for all of them.
+		wprod := 1
+		for _, id := range p.Writes {
+			wprod *= sp.Vars[id].Dom
+		}
+		groups += int(acc) * wprod
 	}
+	e.byKey = make(map[protocol.Key]int, groups)
+	e.all = make([]*group, 0, groups)
 
 	for pi := range sp.Procs {
 		for _, pg := range sp.ActionGroups(pi) {
@@ -168,48 +211,34 @@ func New(sp *protocol.Spec, maxStates uint64) (*Engine, error) {
 // intern registers a protocol group, deduplicating by key, and indexes it
 // in the successor table.
 func (e *Engine) intern(pg protocol.Group) *group {
-	if id, ok := e.byKey[pg.Key()]; ok {
+	key := pg.Key()
+	if id, ok := e.byKey[key]; ok {
 		return e.all[id]
 	}
-	p := &e.sp.Procs[pg.Proc]
-	g := &group{pg: pg, id: len(e.all)}
+	pi := pg.Proc
+	p := &e.sp.Procs[pi]
+	g := &group{
+		pg: pg, key: key, id: len(e.all),
+		unreadW: e.unreadW[pi], unreadD: e.unreadD[pi], srcCount: e.srcCount[pi],
+	}
 
-	readSet := make(map[int]bool, len(p.Reads))
-	var key uint64
+	var readKey uint64
 	for i, id := range p.Reads {
-		readSet[id] = true
-		g.srcBase += uint64(pg.ReadVals[i]) * e.varWeight(id)
-		key += uint64(pg.ReadVals[i]) * e.readWeight[pg.Proc][i]
+		g.srcBase += uint64(pg.ReadVals[i]) * e.ix.Weight(id)
+		readKey += uint64(pg.ReadVals[i]) * e.readWeight[pi][i]
 	}
 	for wi, id := range p.Writes {
 		old := pg.ReadVals[readIndex(p.Reads, id)]
-		g.delta += uint64(int64(pg.WriteVals[wi]-old)) * e.varWeight(id)
+		g.delta += uint64(int64(pg.WriteVals[wi]-old)) * e.ix.Weight(id)
 	}
 	// delta is the true dst−src difference modulo 2^64; since every source
 	// and destination is a valid index below n < 2^63, the two's-complement
 	// reading recovers the signed bit offset of the shift kernels.
 	g.sdelta = int64(g.delta)
-	g.srcCount = 1
-	for id := range e.sp.Vars {
-		if !readSet[id] {
-			g.unreadW = append(g.unreadW, e.varWeight(id))
-			g.unreadD = append(g.unreadD, e.sp.Vars[id].Dom)
-			g.srcCount *= uint64(e.sp.Vars[id].Dom)
-		}
-	}
-	e.byKey[pg.Key()] = g.id
+	e.byKey[key] = g.id
 	e.all = append(e.all, g)
-	e.procTable[pg.Proc][key] = append(e.procTable[pg.Proc][key], g.id)
+	e.procTable[pi][readKey] = append(e.procTable[pi][readKey], g.id)
 	return g
-}
-
-func (e *Engine) varWeight(id int) uint64 {
-	// Indexer exposes weights only via WithValue; recompute directly.
-	w := uint64(1)
-	for j := len(e.sp.Vars) - 1; j > id; j-- {
-		w *= uint64(e.sp.Vars[j].Dom)
-	}
-	return w
 }
 
 func readIndex(reads []int, id int) int {
@@ -259,10 +288,26 @@ func (e *Engine) forEachSrc(g *group, f func(src uint64) bool) {
 // sources returns (and caches) the bitset of g's transition sources. Only
 // dense groups cache one: a sparse group's sources are walked with
 // forEachSrc wherever they are needed (see orSources).
+//
+// The fill works on words. It sets srcBase, then takes the unread
+// variables in ascending weight: for each, d−1 shift-ORs by its weight w
+// add the states where that variable is 1, …, d−1 to those filled so far.
+// The set filled so far lies in [srcBase, srcBase+hi], so each pass
+// touches only the words of that span, shifted; ascending weight keeps
+// the early passes' spans short. Passes over the whole universe instead
+// were slower than one Set per source (DESIGN.md, sparse/dense hybrid).
 func (e *Engine) sources(g *group) *Bitset {
 	if g.srcSet == nil {
 		b := NewBitset(e.n)
-		e.forEachSrc(g, func(src uint64) bool { b.Set(src); return true })
+		b.Set(g.srcBase)
+		hi := uint64(0)
+		for i := len(g.unreadW) - 1; i >= 0; i-- {
+			w := g.unreadW[i]
+			for c := 1; c < g.unreadD[i]; c++ {
+				b.orShiftSpan(g.srcBase, g.srcBase+hi, w)
+				hi += w
+			}
+		}
 		g.srcSet = b
 	}
 	return g.srcSet

@@ -1,6 +1,7 @@
 package explicit
 
 import (
+	"math/rand"
 	"testing"
 
 	"stsyn/internal/core"
@@ -72,7 +73,24 @@ func newTR(t *testing.T, k, dom int) *Engine {
 	return e
 }
 
+// TestInvariantMatchesDirectEvaluation checks the odometer scan that
+// builds the invariant against decoding and evaluating every index on its
+// own, on the paper's token ring and the group-setup corpus.
 func TestInvariantMatchesDirectEvaluation(t *testing.T) {
+	for _, sp := range append([]*protocol.Spec{trSpec(4, 3)}, setupCorpus()...) {
+		e, err := New(sp, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		inv := e.Invariant().(*Bitset)
+		s := make(protocol.State, len(sp.Vars))
+		for i := uint64(0); i < e.n; i++ {
+			e.ix.Decode(i, s)
+			if inv.Get(i) != sp.Invariant.EvalBool(s) {
+				t.Fatalf("%s: invariant bit %d (%v) disagrees with evaluation", sp.Name, i, s)
+			}
+		}
+	}
 	sp := trSpec(4, 3)
 	e, err := New(sp, 0)
 	if err != nil {
@@ -80,13 +98,6 @@ func TestInvariantMatchesDirectEvaluation(t *testing.T) {
 	}
 	inv := e.Invariant().(*Bitset)
 	ix := protocol.NewIndexer(sp)
-	s := make(protocol.State, 4)
-	for i := uint64(0); i < ix.Len(); i++ {
-		ix.Decode(i, s)
-		if inv.Get(i) != sp.Invariant.EvalBool(s) {
-			t.Fatalf("invariant bit %d (%v) disagrees with evaluation", i, s)
-		}
-	}
 	// The paper's example: ⟨1,0,0,0⟩ ∈ S1, ⟨0,0,1,2⟩ ∉ S1.
 	if !inv.Get(ix.Index(protocol.State{1, 0, 0, 0})) {
 		t.Error("⟨1,0,0,0⟩ should be legitimate")
@@ -130,6 +141,10 @@ func naiveSuccessors(sp *protocol.Spec) map[uint64][]uint64 {
 	return succ
 }
 
+// TestPrePostAgainstNaive compares Pre and Post with the naive successor
+// relation over the invariant and over seeded random subsets. The
+// invariant alone cannot tell Post from a scan that sets sources instead
+// of destinations: it is closed and every state in it is enabled.
 func TestPrePostAgainstNaive(t *testing.T) {
 	sp := trSpec(4, 3)
 	e, err := New(sp, 0)
@@ -139,28 +154,33 @@ func TestPrePostAgainstNaive(t *testing.T) {
 	succ := naiveSuccessors(sp)
 	gs := e.ActionGroups()
 
-	// X = invariant; compare Pre/Post with the naive relation.
-	x := e.Invariant().(*Bitset)
-	pre := e.Pre(gs, x).(*Bitset)
-	post := e.Post(gs, x).(*Bitset)
-	n := x.Len()
-	wantPre := NewBitset(n)
-	wantPost := NewBitset(n)
-	for src, dsts := range succ {
-		for _, dst := range dsts {
-			if x.Get(dst) {
-				wantPre.Set(src)
-			}
-			if x.Get(src) {
-				wantPost.Set(dst)
+	rng := rand.New(rand.NewSource(5))
+	sets := []*Bitset{e.Invariant().(*Bitset)}
+	for i := 0; i < 4; i++ {
+		sets = append(sets, randomSubset(e, rng))
+	}
+	for si, x := range sets {
+		pre := e.Pre(gs, x).(*Bitset)
+		post := e.Post(gs, x).(*Bitset)
+		n := x.Len()
+		wantPre := NewBitset(n)
+		wantPost := NewBitset(n)
+		for src, dsts := range succ {
+			for _, dst := range dsts {
+				if x.Get(dst) {
+					wantPre.Set(src)
+				}
+				if x.Get(src) {
+					wantPost.Set(dst)
+				}
 			}
 		}
-	}
-	if !pre.Equal(wantPre) {
-		t.Error("Pre disagrees with naive successor relation")
-	}
-	if !post.Equal(wantPost) {
-		t.Error("Post disagrees with naive successor relation")
+		if !pre.Equal(wantPre) {
+			t.Errorf("set %d: Pre disagrees with naive successor relation", si)
+		}
+		if !post.Equal(wantPost) {
+			t.Errorf("set %d: Post disagrees with naive successor relation", si)
+		}
 	}
 }
 

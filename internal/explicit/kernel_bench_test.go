@@ -135,3 +135,77 @@ func BenchmarkSCCGroups(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScheduleSearch is the per-schedule loop of a schedule search
+// (TrySchedules, fan-out, a dist worker): a fresh engine and one
+// AddConvergence for each of the 24 schedules of a four-process protocol,
+// so group setup weighs as it does on those paths.
+func BenchmarkScheduleSearch(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		sp   *protocol.Spec
+	}{
+		{"matching-4", protocols.Matching(4)},
+		{"tokenring-4-5", protocols.TokenRing(4, 5)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			scheds := core.AllSchedules(len(bc.sp.Procs))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, sched := range scheds {
+					e, err := New(bc.sp, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					// A schedule that fails synthesis costs its attempt
+					// all the same.
+					_, _ = core.AddConvergence(e, core.Options{Schedule: sched})
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNewEngine measures engine construction alone: the invariant
+// scan and the interning of every action and candidate group.
+func BenchmarkNewEngine(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		sp   *protocol.Spec
+	}{
+		{"coloring-12", protocols.Coloring(12)},
+		{"two-ring", protocols.TwoRingTokenRing()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(bc.sp, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSourcesFill rebuilds the cached source set of every dense
+// coloring-12 group (648 sets over 531 441 states), the word-level fill
+// of sources.
+func BenchmarkSourcesFill(b *testing.B) {
+	e, err := New(protocols.Coloring(12), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var dense []*group
+	for _, g := range e.all {
+		if !e.sparse(g) {
+			dense = append(dense, g)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range dense {
+			g.srcSet = nil
+			e.sources(g)
+		}
+	}
+}

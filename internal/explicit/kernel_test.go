@@ -245,19 +245,32 @@ func TestSparseGroupSourcesStayImplicit(t *testing.T) {
 func TestKernelEquivalenceBuiltins(t *testing.T) {
 	// An action group is also a candidate, so the engine interns it once
 	// and the group list names it twice: on the specs marked repeats, the
-	// images must fold a repeated group as the oracle does.
+	// images must fold a repeated group as the oracle does. The spec marked
+	// wordFill has dense groups whose source fill shifts both within and
+	// across words (see coversWordFill); the oracle's per-state GroupSrc
+	// checks that fill.
 	for _, tc := range []struct {
-		name    string
-		sp      *protocol.Spec
-		repeats bool
+		name     string
+		sp       *protocol.Spec
+		repeats  bool
+		wordFill bool
 	}{
-		{"token-ring-4-3", protocols.TokenRing(4, 3), true},
-		{"matching-5", protocols.Matching(5), false},
-		{"coloring-5", protocols.Coloring(5), false},
-		{"two-ring", protocols.TwoRingTokenRing(), true},
-		{"mixed-delta", mixedDeltaSpec(), true},
+		{"token-ring-4-3", protocols.TokenRing(4, 3), true, false},
+		{"matching-5", protocols.Matching(5), false, false},
+		{"coloring-5", protocols.Coloring(5), false, false},
+		{"two-ring", protocols.TwoRingTokenRing(), true, false},
+		{"mixed-delta", mixedDeltaSpec(), true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.wordFill {
+				e, err := New(tc.sp, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !coversWordFill(e) {
+					t.Fatal("no dense group with mixed unread domains and weights on both sides of 64")
+				}
+			}
 			if !checkKernelEquivalence(t, tc.sp, 11) && tc.repeats {
 				t.Fatal("the group list names no group twice")
 			}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -22,18 +23,24 @@ type Group struct {
 // Key returns a comparable identity for the group, usable as a map key.
 type Key string
 
-// Key returns the canonical identity of g.
+// Key returns the canonical identity of g: "proc|r,r,|w,w," in decimal.
+// Digests over sorted keys (internal/experiments) depend on this exact
+// byte format.
 func (g Group) Key() Key {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|", g.Proc)
+	var arr [64]byte // keys up to 64 bytes are built on the stack
+	buf := arr[:0]
+	buf = strconv.AppendInt(buf, int64(g.Proc), 10)
+	buf = append(buf, '|')
 	for _, v := range g.ReadVals {
-		fmt.Fprintf(&b, "%d,", v)
+		buf = strconv.AppendInt(buf, int64(v), 10)
+		buf = append(buf, ',')
 	}
-	b.WriteByte('|')
+	buf = append(buf, '|')
 	for _, v := range g.WriteVals {
-		fmt.Fprintf(&b, "%d,", v)
+		buf = strconv.AppendInt(buf, int64(v), 10)
+		buf = append(buf, ',')
 	}
-	return Key(b.String())
+	return Key(buf)
 }
 
 // IsNoop reports whether the group writes back exactly the current values,

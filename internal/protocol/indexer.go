@@ -43,6 +43,10 @@ func (ix *Indexer) NumVars() int { return len(ix.doms) }
 // Dom returns the domain size of variable id.
 func (ix *Indexer) Dom(id int) int { return ix.doms[id] }
 
+// Weight returns the index weight of variable id: the product of the
+// domains of the variables after it.
+func (ix *Indexer) Weight(id int) uint64 { return ix.weight[id] }
+
 // Index returns the dense index of state s.
 func (ix *Indexer) Index(s State) uint64 {
 	var idx uint64

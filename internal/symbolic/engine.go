@@ -17,6 +17,7 @@ import (
 //	Pre_g(X)  = src ∧ X[written := WriteVals]   (a Restrict)
 type group struct {
 	pg        protocol.Group
+	key       protocol.Key
 	src       bdd.Ref // readable-valuation cube ∧ valid — all source states
 	writeCube bdd.Ref // literal cube of the written variables' new values
 	writeVars bdd.Ref // positive cube of the written variables' bit levels
@@ -25,6 +26,7 @@ type group struct {
 
 func (g *group) Proc() int                     { return g.pg.Proc }
 func (g *group) ProtocolGroup() protocol.Group { return g.pg }
+func (g *group) Key() protocol.Key             { return g.key }
 
 // Engine is the BDD-backed implementation of core.Engine.
 type Engine struct {
@@ -130,7 +132,8 @@ func NewWithOrder(sp *protocol.Spec, order []int) (*Engine, error) {
 func (e *Engine) Manager() *bdd.Manager { return e.m }
 
 func (e *Engine) intern(pg protocol.Group) *group {
-	if g, ok := e.byKey[pg.Key()]; ok {
+	key := pg.Key()
+	if g, ok := e.byKey[key]; ok {
 		return g
 	}
 	p := &e.sp.Procs[pg.Proc]
@@ -147,11 +150,12 @@ func (e *Engine) intern(pg protocol.Group) *group {
 	}
 	g := &group{
 		pg:        pg,
+		key:       key,
 		src:       e.m.Keep(e.m.And(e.m.LiteralCube(readLits), e.valid)),
 		writeCube: e.m.Keep(e.m.LiteralCube(writeLits)),
 		writeVars: e.m.Keep(e.m.Cube(writeVarLevels)),
 	}
-	e.byKey[pg.Key()] = g
+	e.byKey[key] = g
 	return g
 }
 

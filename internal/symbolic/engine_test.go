@@ -2,12 +2,14 @@ package symbolic_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"stsyn/internal/core"
 	"stsyn/internal/explicit"
 	"stsyn/internal/protocol"
 	"stsyn/internal/protocols"
+	"stsyn/internal/specgen"
 	"stsyn/internal/symbolic"
 	"stsyn/internal/verify"
 )
@@ -292,5 +294,33 @@ func TestSetSizeAndProgramSize(t *testing.T) {
 	}
 	if n > sum {
 		t.Errorf("shared size %d exceeds sum of parts %d", n, sum)
+	}
+}
+
+// TestGroupKeysCached checks that every action and candidate group carries
+// the key of its protocol group, on the built-ins and generated specs.
+func TestGroupKeysCached(t *testing.T) {
+	specs := []*protocol.Spec{
+		protocols.TokenRing(4, 3),
+		protocols.DijkstraTokenRing(4, 3),
+		protocols.Matching(5),
+		protocols.GoudaAcharyaMatching(5),
+		protocols.Coloring(5),
+		protocols.DijkstraThreeState(4),
+		protocols.TwoRingTokenRing(),
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		specs = append(specs, specgen.RandomSpec(rand.New(rand.NewSource(seed)), true))
+	}
+	for _, sp := range specs {
+		se, err := symbolic.New(sp)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		for _, g := range append(se.ActionGroups(), se.CandidateGroups()...) {
+			if want := g.ProtocolGroup().Key(); g.Key() != want {
+				t.Fatalf("%s: group key %q, want %q", sp.Name, g.Key(), want)
+			}
+		}
 	}
 }

@@ -70,10 +70,10 @@ func ProtocolGroups(groups []Group) []TransitionGroup {
 func BindGroups(e Engine, pgs []TransitionGroup) ([]Group, error) {
 	byKey := make(map[protocol.Key]Group)
 	for _, g := range e.ActionGroups() {
-		byKey[g.ProtocolGroup().Key()] = g
+		byKey[g.Key()] = g
 	}
 	for _, g := range e.CandidateGroups() {
-		byKey[g.ProtocolGroup().Key()] = g
+		byKey[g.Key()] = g
 	}
 	out := make([]Group, 0, len(pgs))
 	for _, pg := range pgs {

@@ -23,7 +23,7 @@ mode="${1:-}"
 # GroupDstInto, trimmed Tarjan SCC, labelled vs pairwise cycle attribution.
 # Post has no kernel of its own (it is the per-state scan on both sides),
 # so it has no benchmark pair.
-microbench='BenchmarkPre|BenchmarkGroupDstInto|BenchmarkCyclicSCCs|BenchmarkSCCGroups'
+microbench='BenchmarkPre|BenchmarkGroupDstInto|BenchmarkCyclicSCCs|BenchmarkSCCGroups|BenchmarkScheduleSearch|BenchmarkNewEngine|BenchmarkSourcesFill'
 
 go build ./...
 

@@ -67,6 +67,15 @@ go test -race -count=1 -run='^(TestCLIMatchesService|TestCoordinatorRejectsBadOp
 # unmistakable.
 go test -race -count=1 -run '^(TestTrimCoreMatchesPerGroupTrim|TestKernelEquivalenceBuiltins|TestSparseGroupSourcesStayImplicit|TestProtocolsVerifyOnReferenceEngine)$' ./internal/explicit
 
+# Group setup: group keys keep their byte format and both engines cache
+# them; the explicit engine's odometer invariant scan against per-index
+# decoding; its word-level source fill against decoding and against the
+# per-state oracle (mixed-delta is the built-in whose dense groups shift
+# within and across words; the two-ring case already runs in the explicit
+# kernels step). Under the race detector, named here so a setup regression
+# is unmistakable.
+go test -race -count=1 -run '^(TestGroupKeyFormat|TestGroupKeysCached|TestInvariantMatchesDirectEvaluation|TestGroupSourcesMatchDecode|TestKernelEquivalenceBuiltins|TestKernelEquivalenceRandom)$/^mixed-delta$' ./internal/protocols ./internal/explicit ./internal/symbolic
+
 # Coverage floor for the BDD manager: the GC and cache paths must stay
 # exercised by the property tests.
 floor=85
