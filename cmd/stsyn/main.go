@@ -22,10 +22,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
-	"stsyn"
 	"stsyn/internal/cli"
 	"stsyn/internal/dot"
+	"stsyn/internal/pretty"
 	"stsyn/internal/service"
 )
 
@@ -117,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if !*quiet {
 			fmt.Fprintln(stdout)
-			fmt.Fprintln(stdout, stsyn.Render(e, res.Protocol))
+			fmt.Fprintln(stdout, renderActions(resp.Actions))
 		}
 	}
 
@@ -143,4 +144,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "verified: self-stabilizing")
 	}
 	return 0
+}
+
+// renderActions lays out the guarded commands the service already rendered
+// into the response, in the text layout of stsyn.Render, so text mode does
+// not render the protocol a second time.
+func renderActions(actions []service.ProcessResult) string {
+	var b strings.Builder
+	for _, pr := range actions {
+		pretty.WriteProcess(&b, pr.Name, len(pr.Commands), func(i int) (string, string) {
+			return pr.Commands[i].Guard, pr.Commands[i].Effect
+		})
+	}
+	return b.String()
 }

@@ -10,9 +10,29 @@ import (
 	"testing"
 	"time"
 
+	"stsyn"
 	"stsyn/internal/service"
 	"stsyn/pkg/stsynapi"
 )
+
+// sameJobs are jobs the CLI (by its arguments) and the service (by the
+// request) must answer identically.
+var sameJobs = []struct {
+	name string
+	args []string
+	req  service.Request
+}{
+	{"tokenring-4-3-auto", []string{"-p", "tokenring", "-k", "4", "-dom", "3"},
+		service.Request{Protocol: "tokenring", K: 4, Dom: 3}},
+	{"coloring-5-symbolic", []string{"-p", "coloring", "-k", "5", "-engine", "symbolic"},
+		service.Request{Protocol: "coloring", K: 5, Engine: "symbolic"}},
+	{"matching-5-weak", []string{"-p", "matching", "-k", "5", "-weak"},
+		service.Request{Protocol: "matching", K: 5, Convergence: "weak"}},
+	{"tokenring-5-5-incremental", []string{"-p", "tokenring", "-k", "5", "-dom", "5", "-resolution", "incremental"},
+		service.Request{Protocol: "tokenring", K: 5, Dom: 5, Resolution: "incremental"}},
+	{"tokenring-4-3-fanout-prune", []string{"-p", "tokenring", "-k", "4", "-dom", "3", "-fanout", "-prune"},
+		service.Request{Protocol: "tokenring", K: 4, Dom: 3, Fanout: true, Prune: true}},
+}
 
 // The CLI and a stsyn-serve worker answer the same job identically: stsyn
 // -json decodes to the service's response for the same request (timings
@@ -28,23 +48,7 @@ func TestCLIMatchesService(t *testing.T) {
 		}
 	})
 
-	same := []struct {
-		name string
-		args []string
-		req  service.Request
-	}{
-		{"tokenring-4-3-auto", []string{"-p", "tokenring", "-k", "4", "-dom", "3"},
-			service.Request{Protocol: "tokenring", K: 4, Dom: 3}},
-		{"coloring-5-symbolic", []string{"-p", "coloring", "-k", "5", "-engine", "symbolic"},
-			service.Request{Protocol: "coloring", K: 5, Engine: "symbolic"}},
-		{"matching-5-weak", []string{"-p", "matching", "-k", "5", "-weak"},
-			service.Request{Protocol: "matching", K: 5, Convergence: "weak"}},
-		{"tokenring-5-5-incremental", []string{"-p", "tokenring", "-k", "5", "-dom", "5", "-resolution", "incremental"},
-			service.Request{Protocol: "tokenring", K: 5, Dom: 5, Resolution: "incremental"}},
-		{"tokenring-4-3-fanout-prune", []string{"-p", "tokenring", "-k", "4", "-dom", "3", "-fanout", "-prune"},
-			service.Request{Protocol: "tokenring", K: 4, Dom: 3, Fanout: true, Prune: true}},
-	}
-	for _, tc := range same {
+	for _, tc := range sameJobs {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run(append(tc.args, "-json"), &stdout, &stderr); code != 0 {
@@ -98,6 +102,42 @@ func TestCLIMatchesService(t *testing.T) {
 			}
 			if msg := se.Err.Error(); !strings.Contains(stderr.String(), msg) {
 				t.Errorf("stsyn stderr %q lacks the service's message %q", stderr.String(), msg)
+			}
+		})
+	}
+}
+
+// In text mode the CLI prints the commands the service encoded instead of
+// rendering the protocol again; they must read exactly as stsyn.Render of
+// the same job's result.
+func TestCLITextMatchesRender(t *testing.T) {
+	for _, tc := range sameJobs {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != 0 {
+				t.Fatalf("stsyn exited %d: %s", code, stderr.String())
+			}
+			sp, err := service.BuildSpec(&tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			norm, err := service.Normalize(&tc.req, sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := service.Run(context.Background(), norm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := stsyn.Render(out.Engine, out.Result.Protocol) + "\n"
+
+			text := stdout.String()
+			start, end := strings.Index(text, "\n\n"), strings.LastIndex(text, "verified: ")
+			if start < 0 || end < start+2 {
+				t.Fatalf("no protocol block in the CLI output:\n%s", text)
+			}
+			if got := text[start+2 : end]; got != want {
+				t.Errorf("CLI text differs from stsyn.Render\nCLI:\n%s\nRender:\n%s", got, want)
 			}
 		})
 	}

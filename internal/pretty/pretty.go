@@ -5,11 +5,18 @@
 // relational patterns (xj == xi, xj != xi, xj == xi ⊕ c, xj := xi, xj :=
 // xi ⊕ c) are recognized so that, e.g., the synthesized token ring prints
 // exactly like Dijkstra's protocol.
+//
+// Rendering costs in proportion to the groups rendered: a relation is
+// decided by counting the distinct packed read valuations against the
+// relation's size over the read-domain product, never by enumerating that
+// product, and the effect candidates are built once per process.
 package pretty
 
 import (
-	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"stsyn/internal/protocol"
@@ -27,22 +34,40 @@ type Command struct {
 // ordered by process.
 func Protocol(sp *protocol.Spec, groups []protocol.Group) string {
 	var b strings.Builder
-	byProc := make(map[int][]protocol.Group)
+	byProc := make([][]protocol.Group, len(sp.Procs))
 	for _, g := range groups {
-		byProc[g.Proc] = append(byProc[g.Proc], g)
+		if g.Proc >= 0 && g.Proc < len(byProc) {
+			byProc[g.Proc] = append(byProc[g.Proc], g)
+		}
 	}
 	for pi := range sp.Procs {
-		fmt.Fprintf(&b, "%s:\n", sp.Procs[pi].Name)
 		cmds := Process(sp, pi, byProc[pi])
-		if len(cmds) == 0 {
-			b.WriteString("  (no actions)\n")
-			continue
-		}
-		for _, c := range cmds {
-			fmt.Fprintf(&b, "  %s -> %s\n", c.Guard, c.Effect)
-		}
+		WriteProcess(&b, sp.Procs[pi].Name, len(cmds), func(i int) (string, string) {
+			return cmds[i].Guard, cmds[i].Effect
+		})
 	}
 	return b.String()
+}
+
+// WriteProcess writes one process's block of the text layout: a "name:"
+// line, then one "  guard -> effect" line for each of its n commands, or
+// "  (no actions)" when it has none. command returns the i-th command's
+// guard and effect.
+func WriteProcess(b *strings.Builder, name string, n int, command func(i int) (guard, effect string)) {
+	b.WriteString(name)
+	b.WriteString(":\n")
+	if n == 0 {
+		b.WriteString("  (no actions)\n")
+		return
+	}
+	for i := 0; i < n; i++ {
+		guard, effect := command(i)
+		b.WriteString("  ")
+		b.WriteString(guard)
+		b.WriteString(" -> ")
+		b.WriteString(effect)
+		b.WriteByte('\n')
+	}
 }
 
 // Process renders the groups of one process as minimized guarded commands.
@@ -50,59 +75,120 @@ func Process(sp *protocol.Spec, proc int, groups []protocol.Group) []Command {
 	if len(groups) == 0 {
 		return nil
 	}
-	p := &sp.Procs[proc]
-	names := sp.VarNames()
-
+	r := newRenderer(sp, proc, len(groups))
 	remaining := append([]protocol.Group(nil), groups...)
 	var out []Command
 	for len(remaining) > 0 {
-		effect, covered, rest := bestEffect(sp, proc, remaining)
-		guard := renderGuard(sp, p, covered, names)
-		out = append(out, Command{Proc: proc, Guard: guard, Effect: effect, Groups: len(covered)})
+		effect, covered, rest := r.bestEffect(remaining)
+		out = append(out, Command{Proc: proc, Guard: r.guard(covered), Effect: effect, Groups: len(covered)})
 		remaining = rest
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Effect < out[j].Effect })
 	return out
 }
 
-// effectCandidate is a symbolic right-hand side for one written variable.
+// effectCandidate is a symbolic right-hand side for one written variable:
+// the constant val when ri < 0, else the read value rv[ri] plus off,
+// reduced modulo mod unless mod is 0 (a plain copy).
 type effectCandidate struct {
-	render string
-	eval   func(readVals []int) int
+	render       string
+	ri, off, mod int
+	val          int
 }
 
-// bestEffect greedily picks the symbolic effect covering the most groups.
-func bestEffect(sp *protocol.Spec, proc int, groups []protocol.Group) (string, []protocol.Group, []protocol.Group) {
+func (c *effectCandidate) eval(rv []int) int {
+	if c.ri < 0 {
+		return c.val
+	}
+	v := rv[c.ri] + c.off
+	if c.mod != 0 {
+		v %= c.mod
+	}
+	return v
+}
+
+// renderer holds what rendering one process's commands needs, built once
+// per Process call: variable names, read domains and their product, the
+// relation trial order, the effect candidates, and the scratch buffers the
+// cover search and the guard rendering reuse across commands.
+type renderer struct {
+	p     *protocol.Process
+	names []string
+	doms  []int // read-variable domains, parallel to p.Reads
+	total int   // product of doms, or -1 if it overflows an int
+	order []int // relational left-hand sides: written reads first
+
+	cands [][]effectCandidate // per written variable, in tie-break order
+
+	groups     []protocol.Group // the groups bestEffect is covering
+	cover      [][]int          // per written variable, the groups still covered
+	choose     []int
+	best       int
+	bestChoose []int
+	bestCover  []int
+	all        []int
+	covered    []protocol.Group
+	keys       []int
+}
+
+func newRenderer(sp *protocol.Spec, proc, n int) *renderer {
 	p := &sp.Procs[proc]
-	names := sp.VarNames()
+	r := &renderer{
+		p:          p,
+		names:      sp.VarNames(),
+		doms:       make([]int, len(p.Reads)),
+		total:      1,
+		cands:      make([][]effectCandidate, len(p.Writes)),
+		cover:      make([][]int, len(p.Writes)),
+		choose:     make([]int, len(p.Writes)),
+		bestChoose: make([]int, len(p.Writes)),
+		bestCover:  make([]int, 0, n),
+		all:        make([]int, 0, n),
+		covered:    make([]protocol.Group, 0, n),
+		keys:       make([]int, 0, n),
+	}
+	for i, id := range p.Reads {
+		d := sp.Vars[id].Dom
+		r.doms[i] = d
+		if r.total < 0 || r.total > math.MaxInt/d {
+			r.total = -1
+		} else {
+			r.total *= d
+		}
+	}
+	// Prefer putting a written variable on the left-hand side, the way the
+	// paper writes guards (e.g. "xj == x(j-1) + 1" for process Pj).
+	written := func(id int) bool { return slices.Contains(p.Writes, id) }
+	for ri, id := range p.Reads {
+		if written(id) {
+			r.order = append(r.order, ri)
+		}
+	}
+	for ri, id := range p.Reads {
+		if !written(id) {
+			r.order = append(r.order, ri)
+		}
+	}
 
 	// Candidate effects per written variable: constants, copies of readable
 	// variables, and ±1 offsets of readable variables.
 	// Preference order (ties in coverage go to the earlier candidate):
 	// copies of other variables, constants, ±1 offsets of other variables,
 	// and finally self-offsets (pure counters).
-	candsByVar := make([][]effectCandidate, len(p.Writes))
 	for wi, wid := range p.Writes {
 		dom := sp.Vars[wid].Dom
+		lhs := r.names[wid] + " := "
 		var copies, offsets, consts, selfs []effectCandidate
 		for ri, rid := range p.Reads {
-			ri := ri
 			if rid != wid {
-				copies = append(copies, effectCandidate{
-					render: fmt.Sprintf("%s := %s", names[wid], names[rid]),
-					eval:   func(rv []int) int { return rv[ri] },
-				})
+				copies = append(copies, effectCandidate{render: lhs + r.names[rid], ri: ri})
 			}
 			for _, off := range []int{1, dom - 1} {
-				off := off
-				op, amt := "+", off
+				op := " + "
 				if off == dom-1 {
-					op, amt = "-", 1
+					op = " - "
 				}
-				cand := effectCandidate{
-					render: fmt.Sprintf("%s := %s %s %d", names[wid], names[rid], op, amt),
-					eval:   func(rv []int) int { return (rv[ri] + off) % dom },
-				}
+				cand := effectCandidate{render: lhs + r.names[rid] + op + "1", ri: ri, off: off, mod: dom}
 				if rid != wid {
 					offsets = append(offsets, cand)
 				} else {
@@ -111,239 +197,270 @@ func bestEffect(sp *protocol.Spec, proc int, groups []protocol.Group) (string, [
 			}
 		}
 		for v := 0; v < dom; v++ {
-			v := v
-			consts = append(consts, effectCandidate{
-				render: fmt.Sprintf("%s := %d", names[wid], v),
-				eval:   func([]int) int { return v },
-			})
+			consts = append(consts, effectCandidate{render: lhs + strconv.Itoa(v), ri: -1, val: v})
 		}
 		cands := append(copies, consts...)
 		cands = append(cands, offsets...)
-		cands = append(cands, selfs...)
-		candsByVar[wi] = cands
+		r.cands[wi] = append(cands, selfs...)
+		r.cover[wi] = make([]int, 0, n)
 	}
+	return r
+}
 
-	// Greedy: pick, per written variable, the candidate combination that
-	// covers the most groups simultaneously.
-	best := -1
-	var bestRenders []string
-	var bestCover []bool
-	choose := make([]int, len(p.Writes))
-	var rec func(wi int, feasible []bool)
-	covers := func(ci, wi int, g protocol.Group) bool {
-		return candsByVar[wi][ci].eval(g.ReadVals) == g.WriteVals[wi]
+// bestEffect greedily picks the symbolic effect covering the most groups.
+// It returns the effect, the covered groups (in a buffer the next call
+// reuses) and the rest, compacted in place into groups' backing array.
+func (r *renderer) bestEffect(groups []protocol.Group) (string, []protocol.Group, []protocol.Group) {
+	// Pick, per written variable, the candidate combination that covers
+	// the most groups simultaneously.
+	r.groups = groups
+	r.best = -1
+	r.all = r.all[:0]
+	for gi := range groups {
+		r.all = append(r.all, gi)
 	}
-	rec = func(wi int, feasible []bool) {
-		if wi == len(p.Writes) {
-			n := 0
-			for _, f := range feasible {
-				if f {
-					n++
-				}
-			}
-			if n > best {
-				best = n
-				bestRenders = make([]string, len(p.Writes))
-				for i, ci := range choose {
-					bestRenders[i] = candsByVar[i][ci].render
-				}
-				bestCover = append([]bool(nil), feasible...)
-			}
-			return
-		}
-		for ci := range candsByVar[wi] {
-			next := make([]bool, len(groups))
-			any := false
-			for gi, f := range feasible {
-				if f && covers(ci, wi, groups[gi]) {
-					next[gi] = true
-					any = true
-				}
-			}
-			if !any {
-				continue
-			}
-			choose[wi] = ci
-			rec(wi+1, next)
-		}
-	}
-	all := make([]bool, len(groups))
-	for i := range all {
-		all[i] = true
-	}
-	rec(0, all)
+	r.search(0, r.all)
 
-	var covered, rest []protocol.Group
+	covered := r.covered[:0]
+	if r.best < 0 {
+		// Fall back to rendering the first group verbatim.
+		var b strings.Builder
+		for wi, wid := range r.p.Writes {
+			if wi > 0 {
+				b.WriteString("; ")
+			}
+			b.WriteString(r.names[wid])
+			b.WriteString(" := ")
+			b.WriteString(strconv.Itoa(groups[0].WriteVals[wi]))
+		}
+		r.covered = append(covered, groups[0])
+		return b.String(), r.covered, groups[1:]
+	}
+	rest := groups[:0]
+	k := 0
 	for gi, g := range groups {
-		if bestCover != nil && bestCover[gi] {
+		if k < len(r.bestCover) && r.bestCover[k] == gi {
 			covered = append(covered, g)
+			k++
 		} else {
 			rest = append(rest, g)
 		}
 	}
-	if len(covered) == 0 {
-		// Fall back to rendering the first group verbatim.
-		g := groups[0]
-		var parts []string
-		for wi, wid := range p.Writes {
-			parts = append(parts, fmt.Sprintf("%s := %d", names[wid], g.WriteVals[wi]))
+	r.covered = covered
+	var b strings.Builder
+	for wi, ci := range r.bestChoose {
+		if wi > 0 {
+			b.WriteString("; ")
 		}
-		return strings.Join(parts, "; "), groups[:1], groups[1:]
+		b.WriteString(r.cands[wi][ci].render)
 	}
-	return strings.Join(bestRenders, "; "), covered, rest
+	return b.String(), covered, rest
 }
 
-// renderGuard prints the disjunction of the groups' readable valuations,
-// first trying relational atoms, then falling back to minimized cubes.
-func renderGuard(sp *protocol.Spec, p *protocol.Process, groups []protocol.Group, names []string) string {
-	if rel := relationalGuard(sp, p, groups, names); rel != "" {
+// search extends the candidate choice for written variables wi.. over the
+// feasible groups (ascending indices into r.groups). A combination replaces
+// the best only with a strictly larger cover, so ties go to the earlier
+// candidates; a candidate whose cover cannot beat the best is not followed.
+func (r *renderer) search(wi int, feasible []int) {
+	if wi == len(r.cands) {
+		if len(feasible) > r.best {
+			r.best = len(feasible)
+			copy(r.bestChoose, r.choose)
+			r.bestCover = append(r.bestCover[:0], feasible...)
+		}
+		return
+	}
+	for ci := range r.cands[wi] {
+		c := &r.cands[wi][ci]
+		next := r.cover[wi][:0]
+		for _, gi := range feasible {
+			g := &r.groups[gi]
+			if c.eval(g.ReadVals) == g.WriteVals[wi] {
+				next = append(next, gi)
+			}
+		}
+		r.cover[wi] = next
+		if len(next) == 0 || len(next) <= r.best {
+			continue
+		}
+		r.choose[wi] = ci
+		r.search(wi+1, next)
+	}
+}
+
+// guard prints the disjunction of the groups' readable valuations, first
+// trying relational atoms, then falling back to minimized cubes.
+func (r *renderer) guard(groups []protocol.Group) string {
+	if rel := r.relationalGuard(groups); rel != "" {
 		return rel
 	}
-	cubes := minimizeCubes(sp, p, groups)
-	var parts []string
+	cubes := minimizeCubes(r.doms, groups)
 	for _, cube := range cubes {
-		var atoms []string
+		if !slices.ContainsFunc(cube, func(vals []int) bool { return vals != nil }) {
+			return "true"
+		}
+	}
+	var b strings.Builder
+	for i, cube := range cubes {
+		if i > 0 {
+			b.WriteString(" || ")
+		}
+		if len(cubes) > 1 {
+			b.WriteByte('(')
+		}
+		first := true
 		for ri, vals := range cube {
 			if vals == nil {
 				continue
 			}
-			if len(vals) == 1 {
-				atoms = append(atoms, fmt.Sprintf("%s == %d", names[p.Reads[ri]], vals[0]))
-			} else {
-				strs := make([]string, len(vals))
-				for i, v := range vals {
-					strs[i] = fmt.Sprint(v)
-				}
-				atoms = append(atoms, fmt.Sprintf("%s in {%s}", names[p.Reads[ri]], strings.Join(strs, ",")))
+			if !first {
+				b.WriteString(" && ")
 			}
+			first = false
+			b.WriteString(r.names[r.p.Reads[ri]])
+			if len(vals) == 1 {
+				b.WriteString(" == ")
+				b.WriteString(strconv.Itoa(vals[0]))
+				continue
+			}
+			b.WriteString(" in {")
+			for k, v := range vals {
+				if k > 0 {
+					b.WriteByte(',')
+				}
+				b.WriteString(strconv.Itoa(v))
+			}
+			b.WriteByte('}')
 		}
-		if len(atoms) == 0 {
-			return "true"
+		if len(cubes) > 1 {
+			b.WriteByte(')')
 		}
-		parts = append(parts, strings.Join(atoms, " && "))
 	}
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	for i, s := range parts {
-		parts[i] = "(" + s + ")"
-	}
-	return strings.Join(parts, " || ")
+	return b.String()
 }
 
 // relationalGuard recognizes guards of the form vA == vB ⊕ c or vA != vB
 // (with all other readable variables unconstrained).
-func relationalGuard(sp *protocol.Spec, p *protocol.Process, groups []protocol.Group, names []string) string {
-	seen := make(map[string]bool, len(groups))
+//
+// The groups' read valuations form a set S inside the read-domain product,
+// of size total. Over that product, vA == vB ⊕ c (dom(A) = dom(B) = d)
+// holds for exactly total/d valuations, one value of A per value of B and
+// of the others, and vA != vB for total − total/d. So a relation describes
+// S exactly when |S| equals its count and every valuation in S satisfies
+// it; |S| is counted once by packing each valuation into one mixed-radix
+// integer. The relations are tried in a fixed order (left-hand sides
+// written variables first, then B ascending, c ascending, then !=) and the
+// first that holds is printed.
+func (r *renderer) relationalGuard(groups []protocol.Group) string {
+	if len(r.doms) < 2 || r.total < 0 {
+		return ""
+	}
+	keys := r.keys[:0]
 	for _, g := range groups {
-		seen[fmt.Sprint(g.ReadVals)] = true
-	}
-	doms := make([]int, len(p.Reads))
-	for i, id := range p.Reads {
-		doms[i] = sp.Vars[id].Dom
-	}
-	total := 1
-	for _, d := range doms {
-		total *= d
-	}
-	// Prefer putting a written variable on the left-hand side, the way the
-	// paper writes guards (e.g. "xj == x(j-1) + 1" for process Pj).
-	written := make(map[int]bool, len(p.Writes))
-	for _, id := range p.Writes {
-		written[id] = true
-	}
-	order := make([]int, 0, len(p.Reads))
-	for ri, id := range p.Reads {
-		if written[id] {
-			order = append(order, ri)
+		if len(g.ReadVals) != len(r.doms) {
+			return ""
 		}
-	}
-	for ri, id := range p.Reads {
-		if !written[id] {
-			order = append(order, ri)
+		k := 0
+		for ri, v := range g.ReadVals {
+			if v < 0 || v >= r.doms[ri] {
+				return "" // outside the product: no relation's set contains it
+			}
+			k = k*r.doms[ri] + v
 		}
+		keys = append(keys, k)
 	}
-	for _, a := range order {
-		for b := 0; b < len(p.Reads); b++ {
-			if a == b || doms[a] != doms[b] {
+	r.keys = keys
+	slices.Sort(keys)
+	distinct := len(slices.Compact(keys))
+
+	holds := func(rel func(rv []int) bool) bool {
+		for _, g := range groups {
+			if !rel(g.ReadVals) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, a := range r.order {
+		for b := range r.doms {
+			if a == b || r.doms[a] != r.doms[b] {
 				continue
 			}
-			dom := doms[a]
-			// vA == vB ⊕ c
-			for c := 0; c < dom; c++ {
-				if matchesRelation(seen, doms, total, func(rv []int) bool {
-					return rv[a] == (rv[b]+c)%dom
-				}) {
+			dom := r.doms[a]
+			nameA, nameB := r.names[r.p.Reads[a]], r.names[r.p.Reads[b]]
+			// vA == vB ⊕ c: every valuation fixes c = vA − vB, so only the c
+			// of the first group can hold, and no smaller c does.
+			if distinct == r.total/dom {
+				rv := groups[0].ReadVals
+				c := (rv[a] - rv[b] + dom) % dom
+				if holds(func(rv []int) bool { return rv[a] == (rv[b]+c)%dom }) {
 					switch c {
 					case 0:
-						return fmt.Sprintf("%s == %s", names[p.Reads[a]], names[p.Reads[b]])
+						return nameA + " == " + nameB
 					case dom - 1:
-						return fmt.Sprintf("%s == %s - 1", names[p.Reads[a]], names[p.Reads[b]])
+						return nameA + " == " + nameB + " - 1"
 					default:
-						return fmt.Sprintf("%s == %s + %d", names[p.Reads[a]], names[p.Reads[b]], c)
+						return nameA + " == " + nameB + " + " + strconv.Itoa(c)
 					}
 				}
 			}
 			// vA != vB
-			if matchesRelation(seen, doms, total, func(rv []int) bool {
-				return rv[a] != rv[b]
-			}) {
-				return fmt.Sprintf("%s != %s", names[p.Reads[a]], names[p.Reads[b]])
+			if distinct == r.total-r.total/dom && holds(func(rv []int) bool { return rv[a] != rv[b] }) {
+				return nameA + " != " + nameB
 			}
 		}
 	}
 	return ""
 }
 
-func matchesRelation(seen map[string]bool, doms []int, total int, rel func([]int) bool) bool {
-	count := 0
-	okAll := true
-	protocol.Valuations(doms, func(rv []int) {
-		if rel(rv) {
-			count++
-			if !seen[fmt.Sprint(rv)] {
-				okAll = false
-			}
-		}
-	})
-	return okAll && count == len(seen)
-}
-
 // minimizeCubes widens the groups' read valuations into cubes: each cube
 // maps read-variable index → sorted allowed values (nil = don't care).
 // Cubes differing only in one variable are merged; variables covering the
-// full domain become don't-cares.
-func minimizeCubes(sp *protocol.Spec, p *protocol.Process, groups []protocol.Group) [][][]int {
-	var cubes [][][]int
-	for _, g := range groups {
-		cube := make([][]int, len(p.Reads))
+// full domain become don't-cares. The first mergeable pair (i, j) in
+// lexicographic order is merged each time, into cube i.
+func minimizeCubes(doms []int, groups []protocol.Group) [][][]int {
+	n, w := len(groups), len(doms)
+	cubes := make([][][]int, n)
+	dims := make([][]int, n*w)
+	vals := make([]int, n*w)
+	for gi, g := range groups {
+		cube := dims[gi*w : (gi+1)*w : (gi+1)*w]
 		for ri, v := range g.ReadVals {
-			cube[ri] = []int{v}
+			k := gi*w + ri
+			vals[k] = v
+			cube[ri] = vals[k : k+1 : k+1]
 		}
-		cubes = append(cubes, cube)
+		cubes[gi] = cube
 	}
-	doms := make([]int, len(p.Reads))
-	for i, id := range p.Reads {
-		doms[i] = sp.Vars[id].Dom
-	}
+	// After merging into cube m, every pair before m in lexicographic order
+	// is known not to merge unless it involves cube m, which changed: the
+	// scan resumes with the pairs (i, m), i < m, then everything from m on.
+	m := 0
 	for {
-		merged := false
-		for i := 0; i < len(cubes) && !merged; i++ {
-			for j := i + 1; j < len(cubes) && !merged; j++ {
-				if d := mergeDim(cubes[i], cubes[j]); d >= 0 {
-					union := sortedUnion(cubes[i][d], cubes[j][d])
-					cubes[i][d] = union
-					if cubes[i][d] != nil && len(cubes[i][d]) == doms[d] {
-						cubes[i][d] = nil
-					}
-					cubes = append(cubes[:j], cubes[j+1:]...)
-					merged = true
+		i, j, d := -1, -1, -1
+		for a := 0; a < m && i < 0; a++ {
+			if d = mergeDim(cubes[a], cubes[m]); d >= 0 {
+				i, j = a, m
+			}
+		}
+		for a := m; a < len(cubes) && i < 0; a++ {
+			for b := a + 1; b < len(cubes); b++ {
+				if d = mergeDim(cubes[a], cubes[b]); d >= 0 {
+					i, j = a, b
+					break
 				}
 			}
 		}
-		if !merged {
+		if i < 0 {
 			return cubes
 		}
+		union := sortedUnion(cubes[i][d], cubes[j][d])
+		if len(union) == doms[d] {
+			union = nil
+		}
+		cubes[i][d] = union
+		cubes = append(cubes[:j], cubes[j+1:]...)
+		m = i
 	}
 }
 
@@ -362,32 +479,31 @@ func mergeDim(a, b [][]int) int {
 }
 
 func sameVals(a, b []int) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
+// sortedUnion merges two ascending value lists into their ascending union;
+// nil (don't care) absorbs everything.
 func sortedUnion(a, b []int) []int {
 	if a == nil || b == nil {
 		return nil
 	}
-	set := make(map[int]bool)
-	for _, v := range a {
-		set[v] = true
+	out := make([]int, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
 	}
-	for _, v := range b {
-		set[v] = true
-	}
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }

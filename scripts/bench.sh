@@ -3,8 +3,9 @@
 # BENCH_symbolic.json: per case the default engine's fastest of three runs,
 # their spread, the host and the protocol digest) and runs the Go
 # micro-benchmarks for the explicit delta-shift Pre and GroupDstInto
-# kernels (against the per-state oracle), the trimmed Tarjan SCC search and
-# the labelled cycle attribution. Run from the repository root.
+# kernels (against the per-state oracle), the trimmed Tarjan SCC search,
+# the labelled cycle attribution and the guarded-command renderer. Run from
+# the repository root.
 #
 #   scripts/bench.sh            # full ledgers + micro-benchmarks
 #   scripts/bench.sh -quick     # CI smoke: both JSON docs on stdout, one
@@ -19,11 +20,14 @@ cd "$(dirname "$0")/.."
 
 mode="${1:-}"
 
-# The explicit-engine micro-benchmarks: kernel vs per-state oracle Pre and
-# GroupDstInto, trimmed Tarjan SCC, labelled vs pairwise cycle attribution.
-# Post has no kernel of its own (it is the per-state scan on both sides),
-# so it has no benchmark pair.
-microbench='BenchmarkPre|BenchmarkGroupDstInto|BenchmarkCyclicSCCs|BenchmarkSCCGroups|BenchmarkScheduleSearch|BenchmarkNewEngine|BenchmarkSourcesFill'
+# The micro-benchmarks: in the explicit engine, kernel vs per-state oracle
+# Pre and GroupDstInto, trimmed Tarjan SCC, labelled vs pairwise cycle
+# attribution, schedule search, engine set-up and the source fill (Post has
+# no kernel of its own, it is the per-state scan on both sides, so it has
+# no benchmark pair); in the renderer, guarded-command rendering of
+# synthesized protocols.
+microbench='BenchmarkPre|BenchmarkGroupDstInto|BenchmarkCyclicSCCs|BenchmarkSCCGroups|BenchmarkScheduleSearch|BenchmarkNewEngine|BenchmarkSourcesFill|BenchmarkRender'
+micropkgs='./internal/explicit ./internal/pretty'
 
 go build ./...
 
@@ -42,7 +46,8 @@ if [ "$mode" = "-quick" ]; then
     go run ./cmd/stsyn-bench -json -quick $profflags
     # shellcheck disable=SC2086
     go run ./cmd/stsyn-bench -json -engine symbolic -quick $profflags
-    go test -run='^$' -bench="$microbench" -benchtime=1x -benchmem ./internal/explicit >&2
+    # shellcheck disable=SC2086
+    go test -run='^$' -bench="$microbench" -benchtime=1x -benchmem $micropkgs >&2
     exit 0
 fi
 
@@ -70,4 +75,5 @@ go run ./cmd/stsyn-bench -json -engine symbolic | tee BENCH_symbolic.json.tmp
 mv BENCH_symbolic.json.tmp BENCH_symbolic.json
 echo "wrote BENCH_symbolic.json" >&2
 
-go test -run='^$' -bench="$microbench" -benchmem ./internal/explicit
+# shellcheck disable=SC2086
+go test -run='^$' -bench="$microbench" -benchmem $micropkgs

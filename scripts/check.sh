@@ -39,6 +39,7 @@ go test -run='^$' -fuzz='^FuzzDifferentialEngines$' -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz='^FuzzRankSchemeEquivalence$' -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz='^FuzzKernelEquivalence$' -fuzztime=5s ./internal/explicit
 go test -run='^$' -fuzz='^FuzzQuotientCoverage$' -fuzztime=5s ./internal/prune
+go test -run='^$' -fuzz='^FuzzRenderEquivalence$' -fuzztime=5s ./internal/pretty
 
 # Cluster smoke: a coordinator over two in-process workers, one dead from
 # the start, with a journal that must replay idempotently. The full suite
@@ -75,6 +76,13 @@ go test -race -count=1 -run '^(TestTrimCoreMatchesPerGroupTrim|TestKernelEquival
 # kernels step). Under the race detector, named here so a setup regression
 # is unmistakable.
 go test -race -count=1 -run '^(TestGroupKeyFormat|TestGroupKeysCached|TestInvariantMatchesDirectEvaluation|TestGroupSourcesMatchDecode|TestKernelEquivalenceBuiltins|TestKernelEquivalenceRandom)$/^mixed-delta$' ./internal/protocols ./internal/explicit ./internal/symbolic
+
+# Rendering: the guarded-command renderer against the pre-counting
+# reference renderer (built-ins, specgen subsets, exact relation sets and
+# their one-off neighbours), and the CLI's text mode against stsyn.Render,
+# under the race detector, named here so an output drift is unmistakable.
+# The FuzzRenderEquivalence smoke runs with the fuzz smokes above.
+go test -race -count=1 -run '^(TestRenderMatchesReference|TestCLITextMatchesRender)$' ./internal/pretty ./cmd/stsyn
 
 # Coverage floor for the BDD manager: the GC and cache paths must stay
 # exercised by the property tests.
