@@ -51,7 +51,6 @@ func main() {
 		journal      = flag.String("journal", "", "WAL path; set to make the job durable and resumable")
 
 		reqTO      = flag.Duration("request-timeout", 2*time.Minute, "one HTTP attempt's budget")
-		hedgeAfter = flag.Duration("hedge-after", 0, "hedge a straggler request after this long (0 = off)")
 		failThresh = flag.Int("failure-threshold", 0, "consecutive failures before a worker cools down (0 = default 3)")
 		cooldown   = flag.Duration("cooldown", 0, "how long a failing worker sits out of rotation (0 = default 5s)")
 		tenant     = flag.String("tenant", "stsyn-dist", "tenant name sent to workers for per-tenant admission (empty = anonymous)")
@@ -90,7 +89,6 @@ func main() {
 	client, err := dist.NewClient(dist.ClientConfig{
 		Workers:          splitWorkers(*workers),
 		RequestTimeout:   *reqTO,
-		HedgeAfter:       *hedgeAfter,
 		FailureThreshold: *failThresh,
 		Cooldown:         *cooldown,
 		Tenant:           *tenant,

@@ -58,26 +58,18 @@ type Manager struct {
 	// for one more generation, which measures as a higher hit rate on the
 	// ping-ponging ITE/Exists mixes of image fixpoints at the cost of one
 	// extra compare per probe.
-	cache    []cacheEntry
-	cmask    uint32 // number of sets minus one
-	cacheMax int    // adaptive growth stops at this many entries
+	cache []cacheEntry
+	cmask uint32 // number of sets minus one
 
 	refs map[Ref]int32 // external reference counts (Keep/Release)
 
 	watermark int // live-node count at which MaybeGC collects; 0 = never
 
-	opCount     uint64 // number of cached operations performed (for stats)
 	cacheHits   uint64
 	cacheMisses uint64
 	cacheEvicts uint64 // valid entries overwritten by a different key
-	growEvicts  uint64 // cacheEvicts at the time of the last cache growth
 	gcRuns      int
 	gcReclaimed uint64 // nodes reclaimed across all collections
-
-	// Per-op-code counters, indexed by the op* constants.
-	opHits   [opCodes]uint64
-	opMisses [opCodes]uint64
-	opStores [opCodes]uint64
 }
 
 // cacheEntry is one way of the operation cache. Op codes start at 1, so
@@ -97,24 +89,13 @@ const (
 	opITE uint32 = iota + 1
 	opExists
 	opRestrict
-	opSupport
 	opIntersects
-
-	opCodes // number of op codes, bound for the per-op counter arrays
 )
 
-// opNames maps operation codes to their stable external names.
-var opNames = [opCodes]string{
-	opITE: "ite", opExists: "exists", opRestrict: "restrict",
-	opSupport: "support", opIntersects: "intersects",
-}
-
-// DefaultCacheMax is the default upper bound on the operation cache size
-// (total entries across both ways). It equals the default initial size, so
-// adaptive growth is opt-in via SetMaxCacheSize: a cache much larger than
-// the L2 working set turns every probe into a DRAM miss, which measures
-// slower than the extra conflict evictions it avoids.
-const DefaultCacheMax = 1 << 16
+// cacheSize is the operation cache's fixed size in entries (both ways). A
+// cache much larger than the L2 working set turns every probe into a DRAM
+// miss, which measured slower than the extra conflict evictions it avoids.
+const cacheSize = 1 << 16
 
 // New creates a manager over nvars boolean variables.
 func New(nvars int) *Manager {
@@ -127,9 +108,8 @@ func New(nvars int) *Manager {
 	m.nodes[True] = node{level: m.nvars}
 	m.buckets = make([]uint32, 1<<14)
 	m.mask = uint32(len(m.buckets) - 1)
-	m.cache = make([]cacheEntry, 1<<16)
-	m.cmask = uint32(len(m.cache)/2 - 1)
-	m.cacheMax = DefaultCacheMax
+	m.cache = make([]cacheEntry, cacheSize)
+	m.cmask = cacheSize/2 - 1
 	m.refs = make(map[Ref]int32)
 	return m
 }
@@ -145,37 +125,20 @@ func (m *Manager) Size() int { return len(m.nodes) }
 // terminals included.
 func (m *Manager) Live() int { return m.live }
 
-// Peak returns the high-water mark of Live over the manager's lifetime.
-// Live only ever drops at a collection, so sampling it at every observation
-// point and at GC entry captures the true maximum without a per-allocation
-// check in mk.
-func (m *Manager) Peak() int {
-	m.notePeak()
-	return m.peak
-}
-
+// notePeak folds Live into the high-water mark. Live only ever drops at a
+// collection, so sampling it at every observation point and at GC entry
+// captures the true maximum without a per-allocation check in mk.
 func (m *Manager) notePeak() {
 	if m.live > m.peak {
 		m.peak = m.live
 	}
 }
 
-// Ops returns the number of cached recursive operations performed; a
-// platform-independent work metric.
-func (m *Manager) Ops() uint64 { return m.opCount }
-
 // GCRuns returns the number of collections run so far: Stats().GCRuns
 // without building the rest of the snapshot.
 func (m *Manager) GCRuns() int { return m.gcRuns }
 
 func (m *Manager) level(f Ref) int32 { return m.nodes[f].level }
-
-// Low and High return the cofactors of a non-terminal node.
-func (m *Manager) Low(f Ref) Ref  { return m.nodes[f].lo }
-func (m *Manager) High(f Ref) Ref { return m.nodes[f].hi }
-
-// Level returns the level of f's root variable, or NumVars() for terminals.
-func (m *Manager) Level(f Ref) int { return int(m.nodes[f].level) }
 
 // IsTerminal reports whether f is a constant.
 func (m *Manager) IsTerminal(f Ref) bool { return f <= True }
@@ -323,19 +286,6 @@ type Stats struct {
 	CacheHitRate    float64 // hits / lookups; 0 when no lookups yet
 	GCRuns          int
 	GCReclaimed     uint64 // nodes reclaimed across all collections
-	Ops             uint64 // cached recursive operations performed
-
-	// PerOp breaks the cache counters down by operation code, in a fixed
-	// order (ite, exists, restrict, support, intersects).
-	PerOp []OpStats
-}
-
-// OpStats is the cache activity of one operation code.
-type OpStats struct {
-	Op     string // stable operation name
-	Hits   uint64
-	Misses uint64
-	Stores uint64 // results written to the cache (recursive steps performed)
 }
 
 // Stats returns a snapshot of the manager's counters.
@@ -356,15 +306,9 @@ func (m *Manager) Stats() Stats {
 		CacheEvictions:  m.cacheEvicts,
 		GCRuns:          m.gcRuns,
 		GCReclaimed:     m.gcReclaimed,
-		Ops:             m.opCount,
 	}
 	if lookups := m.cacheHits + m.cacheMisses; lookups > 0 {
 		s.CacheHitRate = float64(m.cacheHits) / float64(lookups)
-	}
-	for op := uint32(opITE); op < opCodes; op++ {
-		s.PerOp = append(s.PerOp, OpStats{
-			Op: opNames[op], Hits: m.opHits[op], Misses: m.opMisses[op], Stores: m.opStores[op],
-		})
 	}
 	return s
 }
@@ -441,7 +385,6 @@ func (m *Manager) cacheGet(op uint32, a, b, c Ref) (Ref, bool) {
 	e0 := &m.cache[s]
 	if e0.is(op, a, b, c) {
 		m.cacheHits++
-		m.opHits[op]++
 		return e0.result, true
 	}
 	e1 := &m.cache[s+1]
@@ -449,7 +392,6 @@ func (m *Manager) cacheGet(op uint32, a, b, c Ref) (Ref, bool) {
 		// Hit in the victim way: promote to MRU so the set's true LRU entry
 		// is the one the next conflicting store pushes out.
 		m.cacheHits++
-		m.opHits[op]++
 		r := e1.result
 		*e0, *e1 = *e1, *e0
 		return r, true
@@ -458,16 +400,13 @@ func (m *Manager) cacheGet(op uint32, a, b, c Ref) (Ref, bool) {
 		// Both ways occupied by other keys: the cachePut completing this
 		// operation will evict the victim way. Detected here rather than in
 		// cachePut so the store stays a cheap unconditional shift.
-		m.cacheConflict()
+		m.cacheEvicts++
 	}
 	m.cacheMisses++
-	m.opMisses[op]++
 	return 0, false
 }
 
 func (m *Manager) cachePut(op uint32, a, b, c, r Ref) {
-	m.opCount++
-	m.opStores[op]++
 	s := m.cacheSlot(op, a, b, c)
 	e0 := &m.cache[s]
 	if !e0.is(op, a, b, c) {
@@ -476,65 +415,6 @@ func (m *Manager) cachePut(op uint32, a, b, c, r Ref) {
 		m.cache[s+1] = *e0
 	}
 	*e0 = cacheEntry{op: op, a: a, b: b, c: c, result: r}
-}
-
-// cacheConflict records a conflict eviction and, under heavy pressure — one
-// eviction per entry since the last growth — doubles the cache up to the
-// configured maximum. Kept out of line so it costs cacheGet's hot path only
-// a predictable branch.
-//
-//go:noinline
-func (m *Manager) cacheConflict() {
-	m.cacheEvicts++
-	if len(m.cache) < m.cacheMax && m.cacheEvicts-m.growEvicts > uint64(len(m.cache)) {
-		m.growCache(len(m.cache) * 2)
-	}
-}
-
-// growCache resizes the cache to n total entries (a power of two ≥ 2),
-// re-slotting every valid entry so warm results survive the resize. MRU
-// ways are re-inserted before victim ways, so when both land in the same
-// new set the recency order is preserved.
-func (m *Manager) growCache(n int) {
-	old := m.cache
-	m.cache = make([]cacheEntry, n)
-	m.cmask = uint32(n/2 - 1)
-	for _, way := range []int{0, 1} {
-		for i := way; i < len(old); i += 2 {
-			e := old[i]
-			if !e.occupied() {
-				continue
-			}
-			s := m.cacheSlot(e.op, e.a, e.b, e.c)
-			if !m.cache[s].occupied() {
-				m.cache[s] = e
-			} else if !m.cache[s+1].occupied() {
-				m.cache[s+1] = e
-			}
-		}
-	}
-	m.growEvicts = m.cacheEvicts
-}
-
-// SetCacheSize resizes the operation cache to the next power of two ≥ n
-// total entries (min 256), preserving valid entries. Mostly useful in tests
-// and tuning.
-func (m *Manager) SetCacheSize(n int) {
-	size := 256
-	for size < n {
-		size *= 2
-	}
-	if size != len(m.cache) {
-		m.growCache(size)
-	}
-}
-
-// SetMaxCacheSize bounds the adaptive cache growth (default DefaultCacheMax).
-func (m *Manager) SetMaxCacheSize(n int) {
-	if n < 256 {
-		n = 256
-	}
-	m.cacheMax = n
 }
 
 // --- literals and cubes ---------------------------------------------------
@@ -635,23 +515,6 @@ func (m *Manager) Not(f Ref) Ref     { return m.ITE(f, False, True) }
 func (m *Manager) Xor(f, g Ref) Ref  { return m.ITE(f, m.Not(g), g) }
 func (m *Manager) Diff(f, g Ref) Ref { return m.ITE(g, False, f) }
 func (m *Manager) Imp(f, g Ref) Ref  { return m.ITE(f, g, True) }
-
-// AndN conjoins all arguments; OrN disjoins them.
-func (m *Manager) AndN(fs ...Ref) Ref {
-	r := True
-	for _, f := range fs {
-		r = m.And(r, f)
-	}
-	return r
-}
-
-func (m *Manager) OrN(fs ...Ref) Ref {
-	r := False
-	for _, f := range fs {
-		r = m.Or(r, f)
-	}
-	return r
-}
 
 // Exists existentially quantifies away every variable in cube, which must
 // be a positive cube (a conjunction of positive literals, e.g. from Cube).

@@ -49,8 +49,8 @@ func TestConnectives(t *testing.T) {
 		}
 		return a[2]
 	})
-	brute(t, m, m.AndN(x, y, z), func(a []bool) bool { return a[0] && a[1] && a[2] })
-	brute(t, m, m.OrN(x, y, z), func(a []bool) bool { return a[0] || a[1] || a[2] })
+	brute(t, m, m.And(m.And(x, y), z), func(a []bool) bool { return a[0] && a[1] && a[2] })
+	brute(t, m, m.Or(m.Or(x, y), z), func(a []bool) bool { return a[0] || a[1] || a[2] })
 }
 
 func TestHashConsingCanonicity(t *testing.T) {
@@ -235,24 +235,6 @@ func TestDagSize(t *testing.T) {
 	// Sharing is real: the union is smaller than the sum of the parts.
 	if s := m.SharedDagSize([]Ref{f, f}); s != m.DagSize(f) {
 		t.Errorf("SharedDagSize of duplicate roots = %d, want %d", s, m.DagSize(f))
-	}
-}
-
-func TestSupport(t *testing.T) {
-	m := New(5)
-	f := m.And(m.Var(1), m.Or(m.Var(3), m.NVar(4)))
-	got := m.Support(f)
-	want := []int{1, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("Support = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Support = %v, want %v", got, want)
-		}
-	}
-	if len(m.Support(True)) != 0 {
-		t.Error("Support(True) must be empty")
 	}
 }
 

@@ -248,13 +248,12 @@ func TestMaybeGCWatermark(t *testing.T) {
 	}
 }
 
-// TestCacheCountersAndGrowth checks hit/miss/evict accounting and adaptive
-// growth under conflict pressure.
+// TestCacheCountersAndGrowth checks hit/miss/evict accounting under
+// conflict pressure while the node store grows.
 func TestCacheCountersAndGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := New(10)
-	m.SetCacheSize(256) // shrink so conflicts are easy to provoke
-	m.SetMaxCacheSize(1024)
+	shrinkCache(m, 256) // so conflicts are easy to provoke
 
 	for i := 0; i < 60; i++ {
 		randomFunc(m, rng, 10, 20)
@@ -266,11 +265,8 @@ func TestCacheCountersAndGrowth(t *testing.T) {
 	if st.CacheEvictions == 0 {
 		t.Fatalf("expected evictions in a 256-entry cache: %+v", st)
 	}
-	if st.CacheSize <= 256 {
-		t.Fatalf("cache did not grow under pressure: size=%d", st.CacheSize)
-	}
-	if st.CacheSize > 1024 {
-		t.Fatalf("cache exceeded its configured maximum: size=%d", st.CacheSize)
+	if st.CacheSize != 256 {
+		t.Fatalf("cache size changed under pressure: size=%d", st.CacheSize)
 	}
 	if st.CacheHitRate <= 0 || st.CacheHitRate >= 1 {
 		t.Fatalf("implausible hit rate %f", st.CacheHitRate)
@@ -292,8 +288,8 @@ func TestStatsSnapshot(t *testing.T) {
 	if st.AllocatedSlots != m.Size() || st.UniqueTableSize == 0 || st.UniqueTableLoad <= 0 {
 		t.Fatalf("bad table accounting: %+v", st)
 	}
-	if st.Ops == 0 {
-		t.Fatalf("ops counter never advanced: %+v", st)
+	if st.CacheMisses == 0 {
+		t.Fatalf("miss counter never advanced: %+v", st)
 	}
 	m.Release(f)
 }

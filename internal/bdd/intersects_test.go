@@ -22,11 +22,11 @@ func intersectsPairs(m *Manager, rng *rand.Rand, nvars, n int) [][2]Ref {
 }
 
 // TestIntersectsMatchesAnd checks Intersects against the node-building
-// identity And(f, g) != False on random pairs, before and after a
-// collection and a cache resize, and that the walk allocates no nodes.
+// identity And(f, g) != False on random pairs on a small cache, before and
+// after a collection, and that the walk allocates no nodes.
 func TestIntersectsMatchesAnd(t *testing.T) {
 	m := New(12)
-	m.SetCacheSize(256)
+	shrinkCache(m, 256)
 	rng := rand.New(rand.NewSource(7))
 	pairs := intersectsPairs(m, rng, 12, 300)
 	for _, p := range pairs {
@@ -69,8 +69,6 @@ func TestIntersectsMatchesAnd(t *testing.T) {
 		t.Fatal("setup left no garbage for the collection to reclaim")
 	}
 	check("after GC")
-	m.SetCacheSize(4096)
-	check("after cache resize")
 	for _, p := range pairs {
 		m.Release(p[0])
 		m.Release(p[1])

@@ -94,30 +94,6 @@ func (m *Manager) SharedDagSize(fs []Ref) int {
 	return len(seen)
 }
 
-// Support returns the sorted levels of the variables f depends on.
-func (m *Manager) Support(f Ref) []int {
-	seen := make(map[Ref]bool)
-	vars := make(map[int]bool)
-	var walk func(Ref)
-	walk = func(g Ref) {
-		if seen[g] || m.IsTerminal(g) {
-			return
-		}
-		seen[g] = true
-		vars[int(m.nodes[g].level)] = true
-		walk(m.nodes[g].lo)
-		walk(m.nodes[g].hi)
-	}
-	walk(f)
-	out := make([]int, 0, len(vars))
-	for v := int32(0); v < m.nvars; v++ {
-		if vars[int(v)] {
-			out = append(out, int(v))
-		}
-	}
-	return out
-}
-
 // CopyFrom migrates a BDD rooted at f in the source manager into m, which
 // must have the same variable order. memo caches translations across calls
 // (pass the same map to amortize shared structure).

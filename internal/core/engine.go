@@ -214,9 +214,8 @@ type Stats struct {
 	// RankInfinityFastFail counts the times AddConvergence's rank-∞
 	// fast-fail short-circuited provably futile work: recovery batches
 	// whose groups were all already known doomed (skipped without a cycle
-	// check), doomed groups excluded from incremental retry, and terminal
-	// aborts once every candidate reaching a remaining deadlock was
-	// doomed.
+	// check), batches replayed from the futile-batch memo, and doomed
+	// groups excluded from incremental retry.
 	RankInfinityFastFail int
 }
 

@@ -19,9 +19,8 @@ import (
 // observationally identical — same rank partition, same synthesized
 // protocol, same failure with the same message — because the fast-fail
 // paths only skip work whose outcome is already decided (alone-in-SCC
-// doom proofs, deterministic futile-batch replay, terminal aborts with the
-// deadlock set already final). Any drift here means one of those proofs
-// is wrong.
+// doom proofs, deterministic futile-batch replay). Any drift here means
+// one of those proofs is wrong.
 
 // engineKinds are the engines the core batteries run on.
 var engineKinds = []string{"explicit", "symbolic"}

@@ -142,15 +142,12 @@ type synthesizer struct {
 	// only added group, so pss ∪ {g} already has a cycle in ¬I. pss only
 	// grows, so the cycle persists and every future Identify_Resolve_Cycles
 	// batch flags g again (and every incremental retry of g alone fails).
-	// The rank-∞ fast-fail spends this knowledge three ways — skipping
-	// all-doomed batches, skipping doomed incremental retries, and
-	// aborting outright once every candidate reaching a remaining deadlock
-	// is doomed — each of which provably leaves the synthesized protocol
-	// and the final deadlock set byte-identical (see DESIGN.md). nil when
-	// the run has fast-fail switched off (see addConvergence).
-	doomed   map[protocol.Key]bool
-	doomGrew bool // a doom was learned since the last hopelessness check
-	hopeless bool // terminal fast-fail: no remaining deadlock can ever be resolved
+	// The rank-∞ fast-fail spends this knowledge two ways — skipping
+	// all-doomed batches and skipping doomed incremental retries — each of
+	// which provably leaves the synthesized protocol and the final
+	// deadlock set byte-identical (see DESIGN.md). nil when the run has
+	// fast-fail switched off (see addConvergence).
+	doomed map[protocol.Key]bool
 
 	// futile remembers candidate batches (by fingerprint) whose cycle check
 	// flagged every group and whose retries recovered nothing, so the batch
@@ -319,7 +316,6 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 		return res, nil
 	}
 
-passes:
 	for pass := 1; pass <= 2; pass++ {
 		for i := 1; i < len(ranks); i++ {
 			if err := ctx.Err(); err != nil {
@@ -340,24 +336,19 @@ passes:
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
-			if s.hopeless {
-				break passes
-			}
 		}
 	}
-	if !s.hopeless {
-		// Pass 3: from any remaining deadlock to anywhere (constraint C2
-		// relaxed). The from set is retained separately: s.deadlocks is
-		// rebound (and its old value released) after every process inside.
-		s.maybeCompact(ranks)
-		if s.addConvergence(s.retain(s.deadlocks), e.Universe(), 3) {
-			res.PassCompleted = 3
-			s.finish(res, s.pss)
-			return res, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
+	// Pass 3: from any remaining deadlock to anywhere (constraint C2
+	// relaxed). The from set is retained separately: s.deadlocks is rebound
+	// (and its old value released) after every process inside.
+	s.maybeCompact(ranks)
+	if s.addConvergence(s.retain(s.deadlocks), e.Universe(), 3) {
+		res.PassCompleted = 3
+		s.finish(res, s.pss)
+		return res, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return res, err
 	}
 
 	st, _ := e.PickState(s.deadlocks)
@@ -414,9 +405,6 @@ func (s *synthesizer) addConvergence(from, to Set, pass int) bool {
 		s.swap(&s.deadlocks, s.e.Diff(s.notI, s.enabled))
 		if s.e.IsEmpty(s.deadlocks) {
 			return true
-		}
-		if s.checkHopeless() {
-			return false
 		}
 		// In pass 1 the ruled-out set is refreshed with the new deadlock
 		// states after each process (Figure 3, line 4); addRecovery reads
@@ -567,51 +555,10 @@ func (s *synthesizer) identifyResolveCycles(union, added []Group) (bad []bool) {
 		// future batch check and rejected by every incremental retry —
 		// permanently unacceptable.
 		if s.doomed != nil && len(within) == 1 {
-			if k := added[within[0]].Key(); !s.doomed[k] {
-				s.doomed[k] = true
-				s.doomGrew = true
-			}
+			s.doomed[added[within[0]].Key()] = true
 		}
 	}
 	return bad
-}
-
-// checkHopeless flips the terminal rank-∞ fast-fail once the run is
-// provably going to end in ErrDeadlocksRemain: deadlocks remain, and every
-// candidate group outside pss whose source set meets them is doomed. Any
-// group a future batch could accept must contain a transition from a then-
-// current deadlock state (From ⊆ deadlocks in every pass, and deadlocks
-// only shrink), so its source set meets the current deadlocks — but all
-// such groups are doomed, hence flagged and dropped by every future batch.
-// No accept can ever happen again: the deadlock set is final, and skipping
-// the remaining cells and passes leaves the failure — including the
-// reported deadlock set and example state — byte-identical.
-func (s *synthesizer) checkHopeless() bool {
-	if s.hopeless {
-		return true
-	}
-	if s.doomed == nil || !s.doomGrew {
-		return false
-	}
-	s.doomGrew = false
-	if s.e.IsEmpty(s.deadlocks) {
-		return false
-	}
-	for _, gs := range s.candsByProc {
-		for _, g := range gs {
-			k := g.Key()
-			if s.inPss[k] || s.doomed[k] {
-				continue
-			}
-			if s.e.GroupSrcIntersects(g, s.deadlocks) {
-				return false
-			}
-		}
-	}
-	s.hopeless = true
-	s.e.Stats().RankInfinityFastFail++
-	s.logf("fast-fail: every candidate reaching the remaining deadlocks is doomed; aborting remaining passes")
-	return true
 }
 
 // finish records the synthesized protocol and its measurements.

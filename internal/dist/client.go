@@ -3,13 +3,11 @@ package dist
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
 	"stsyn/internal/service"
 	"stsyn/pkg/client"
-	"stsyn/pkg/stsynerr"
 )
 
 // ClientConfig configures the resilient worker client. Zero values select
@@ -43,61 +41,29 @@ type ClientConfig struct {
 	// worker is cooling, so the client never deadlocks itself.
 	FailureThreshold int
 	Cooldown         time.Duration
-	// HedgeAfter, when positive, launches a second attempt on another
-	// worker if the first has not answered within this duration, keeping
-	// whichever finishes first (straggler hedging). Zero disables hedging.
-	HedgeAfter time.Duration
 	// Tenant, when set, names the tenant bucket the workers account these
 	// requests to (the X-Stsyn-Tenant header of per-tenant admission).
 	Tenant string
 	// Metrics, when non-nil, receives the client's counters.
 	Metrics *Metrics
-	// Logf, when non-nil, receives one line per retry/hedge/cooldown event.
+	// Logf, when non-nil, receives one line per retry/cooldown event.
 	Logf func(format string, args ...interface{})
-}
-
-// WorkerError is a failed worker interaction: a transport failure (Status
-// 0) or a non-200 worker response.
-type WorkerError struct {
-	Worker     string
-	Status     int // 0 for transport errors
-	Message    string
-	RetryAfter time.Duration // parsed Retry-After advice, 0 if absent
-	Err        error
-}
-
-func (e *WorkerError) Error() string {
-	if e.Status == 0 {
-		return fmt.Sprintf("worker %s: %v", e.Worker, e.Err)
-	}
-	return fmt.Sprintf("worker %s: HTTP %d: %s", e.Worker, e.Status, e.Message)
-}
-
-func (e *WorkerError) Unwrap() error { return e.Err }
-
-// Temporary reports whether retrying elsewhere could help: transport
-// failures and 429/5xx are retryable, other 4xx are not (the request
-// itself is wrong, every worker will agree).
-func (e *WorkerError) Temporary() bool {
-	return e.Status == 0 || e.Status == http.StatusTooManyRequests || e.Status >= 500
 }
 
 // IsSynthesisFailure reports whether err is a worker's 422 — the heuristic
 // failed on that schedule. That is a result, not an infrastructure
 // failure: the coordinator moves to the next schedule.
 func IsSynthesisFailure(err error) bool {
-	var we *WorkerError
-	return errors.As(err, &we) && we.Status == http.StatusUnprocessableEntity
+	var ce *client.Error
+	return errors.As(err, &ce) && ce.Status == http.StatusUnprocessableEntity
 }
 
 // Client fans synthesis requests out to a fleet of stsyn-serve workers
 // with per-attempt timeouts, capped exponential backoff with jitter,
-// Retry-After honoring, failure-aware worker rotation, and optional
-// straggler hedging. The resilience core is pkg/client's middleware
-// stack; hedging and the coordinator's error vocabulary stay here. Safe
-// for concurrent use.
+// Retry-After honoring and failure-aware worker rotation. The resilience
+// core is pkg/client's middleware stack; this type adds the coordinator's
+// metrics and log plumbing. Safe for concurrent use.
 type Client struct {
-	cfg     ClientConfig
 	inner   *client.Client
 	metrics *Metrics
 	logf    func(string, ...interface{})
@@ -108,16 +74,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("dist: no workers configured")
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 2 * len(cfg.Workers)
-	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 5 * time.Second
-	}
-	c := &Client{cfg: cfg, metrics: cfg.Metrics, logf: cfg.Logf}
+	c := &Client{metrics: cfg.Metrics, logf: cfg.Logf}
 	if c.metrics == nil {
 		c.metrics = &Metrics{}
 	}
@@ -139,7 +96,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			OnAttempt: func(string) { c.metrics.RequestsTotal.Add(1) },
 			OnRetry: func(attempt int, wait time.Duration, last error) {
 				c.metrics.RequestRetries.Add(1)
-				c.logf("dist: retrying (attempt %d/%d) in %s after: %v", attempt, cfg.MaxAttempts, wait, last)
+				c.logf("dist: retrying (attempt %d) in %s after: %v", attempt, wait, last)
 			},
 			OnCooldown: func(worker string, fails int, d time.Duration) {
 				c.metrics.WorkerCooldowns.Add(1)
@@ -174,109 +131,12 @@ func (c *Client) Workers() []WorkerStatus {
 	return out
 }
 
-// Synthesize runs one synthesis request against the fleet, retrying and —
-// when configured — hedging. reqID is the X-Request-ID shared by every
-// attempt of this logical request, so worker logs join across retries. It
-// returns the decoded response plus the raw response bytes (for the
-// journal). A 422 comes back as a *WorkerError without further retries;
-// see IsSynthesisFailure.
+// Synthesize runs one synthesis request against the fleet, retrying per
+// the configured policy. reqID is the X-Request-ID shared by every attempt
+// of this logical request, so worker logs join across retries. It returns
+// the decoded response plus the raw response bytes (for the journal). A
+// worker's error response comes back as a *client.Error; a 422 is not
+// retried (see IsSynthesisFailure).
 func (c *Client) Synthesize(ctx context.Context, req *service.Request, reqID string) (*service.Response, []byte, error) {
-	if c.cfg.HedgeAfter <= 0 {
-		return c.do(ctx, req, reqID)
-	}
-	type outcome struct {
-		resp  *service.Response
-		raw   []byte
-		err   error
-		hedge bool
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan outcome, 2)
-	launch := func(isHedge bool) {
-		go func() {
-			resp, raw, err := c.do(hctx, req, reqID)
-			results <- outcome{resp, raw, err, isHedge}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(c.cfg.HedgeAfter)
-	defer timer.Stop()
-	inFlight := 1
-	hedged := false
-	var firstErr error
-	for {
-		select {
-		case out := <-results:
-			if out.err == nil || !isTemporary(out.err) {
-				if out.err == nil && out.hedge {
-					c.metrics.HedgeWins.Add(1)
-				}
-				return out.resp, out.raw, out.err
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if inFlight--; inFlight == 0 {
-				return nil, nil, firstErr
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				c.metrics.RequestHedges.Add(1)
-				c.logf("dist: hedging straggler request %s after %s", reqID, c.cfg.HedgeAfter)
-				launch(true)
-				inFlight++
-			}
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-	}
-}
-
-func isTemporary(err error) bool {
-	var we *WorkerError
-	if errors.As(err, &we) {
-		return we.Temporary()
-	}
-	return false
-}
-
-// do runs one logical request through the published client and translates
-// its typed errors into the coordinator's worker-error vocabulary.
-func (c *Client) do(ctx context.Context, req *service.Request, reqID string) (*service.Response, []byte, error) {
-	resp, raw, err := c.inner.SynthesizeRaw(ctx, req, reqID)
-	if err != nil {
-		return nil, nil, c.workerError(err, reqID)
-	}
-	return resp, raw, nil
-}
-
-// workerError maps a pkg/client failure onto *WorkerError: a permanent
-// error response converts directly; retry exhaustion keeps the attempt
-// count in the message with the last worker's error as the cause.
-func (c *Client) workerError(err error, reqID string) error {
-	var ce *client.Error
-	if !errors.As(err, &ce) {
-		// Context cancellation or a malformed-response failure from the
-		// typed layer: pass through untouched.
-		return err
-	}
-	we := &WorkerError{
-		Worker:     ce.Endpoint,
-		Status:     ce.Status,
-		RetryAfter: ce.RetryAfter,
-		Err:        ce.Err,
-	}
-	if ce.Status != 0 {
-		var se *stsynerr.Error
-		if errors.As(ce.Err, &se) {
-			we.Message = se.Error()
-		}
-	}
-	if errors.Is(err, ce) && err != error(ce) {
-		// The client exhausted its attempts; keep that context.
-		return fmt.Errorf("dist: request %s failed after %d attempts: %w", reqID, c.cfg.MaxAttempts, we)
-	}
-	return we
+	return c.inner.SynthesizeRaw(ctx, req, reqID)
 }

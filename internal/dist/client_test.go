@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"stsyn/internal/service"
+	"stsyn/pkg/client"
 )
 
 const cannedResponse = `{"protocol":"Canned","engine":"explicit","schedule":[0,1],"verified":true}`
@@ -123,9 +124,43 @@ func TestClientSynthesisFailureIsPermanent(t *testing.T) {
 	if hits.Load() != 1 {
 		t.Errorf("422 was retried: %d hits", hits.Load())
 	}
-	var we *WorkerError
-	if !errors.As(err, &we) || we.Temporary() {
-		t.Errorf("422 classified as temporary: %+v", we)
+	var ce *client.Error
+	if !errors.As(err, &ce) || ce.Temporary() {
+		t.Errorf("422 classified as temporary: %+v", ce)
+	}
+}
+
+// A retry that ends on a 422 is still a synthesis failure: the first
+// worker's 503 is retried on the second, whose 422 is final and names that
+// worker.
+func TestClientRetryEndingIn422IsSynthesisFailure(t *testing.T) {
+	var busyHits, failHits atomic.Int64
+	busy := cannedWorker(t, func(w http.ResponseWriter, r *http.Request) {
+		busyHits.Add(1)
+		http.Error(w, `{"error":"draining"}`, http.StatusServiceUnavailable)
+	})
+	fail := cannedWorker(t, func(w http.ResponseWriter, r *http.Request) {
+		failHits.Add(1)
+		http.Error(w, `{"error":"synthesis failed"}`, http.StatusUnprocessableEntity)
+	})
+	c := fastClient(t, ClientConfig{Workers: []string{busy.URL, fail.URL}})
+
+	_, _, err := c.Synthesize(context.Background(), &service.Request{Protocol: "gouda-acharya"}, "req-503-422")
+	if !IsSynthesisFailure(err) {
+		t.Fatalf("err = %v, want a synthesis failure", err)
+	}
+	if busyHits.Load() != 1 || failHits.Load() != 1 {
+		t.Errorf("hits busy=%d fail=%d, want 1/1 (the 422 must not be retried)", busyHits.Load(), failHits.Load())
+	}
+	var ce *client.Error
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want a *client.Error", err)
+	}
+	if ce.Endpoint != fail.URL || ce.Status != http.StatusUnprocessableEntity {
+		t.Errorf("error names %s HTTP %d, want %s HTTP 422", ce.Endpoint, ce.Status, fail.URL)
+	}
+	if got := c.Metrics().RequestRetries.Load(); got != 1 {
+		t.Errorf("retries = %d, want 1", got)
 	}
 }
 
@@ -144,41 +179,5 @@ func TestClientBadRequestIsPermanent(t *testing.T) {
 	}
 	if hits.Load() != 1 {
 		t.Errorf("400 was retried: %d hits", hits.Load())
-	}
-}
-
-// Hedging: when the primary worker stalls, a second attempt on another
-// worker answers first and wins.
-func TestClientHedgesStragglers(t *testing.T) {
-	release := make(chan struct{})
-	slow := cannedWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		<-release
-		w.Write([]byte(cannedResponse)) //nolint:errcheck
-	})
-	t.Cleanup(func() { close(release) })
-	fast := cannedWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(cannedResponse)) //nolint:errcheck
-	})
-	c := fastClient(t, ClientConfig{
-		Workers:    []string{slow.URL, fast.URL},
-		HedgeAfter: 20 * time.Millisecond,
-	})
-
-	start := time.Now()
-	resp, _, err := c.Synthesize(context.Background(), &service.Request{Protocol: "tokenring"}, "req-hedge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Protocol != "Canned" {
-		t.Errorf("resp = %+v", resp)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("hedged request took %s", elapsed)
-	}
-	if got := c.Metrics().RequestHedges.Load(); got != 1 {
-		t.Errorf("hedges = %d, want 1", got)
-	}
-	if got := c.Metrics().HedgeWins.Load(); got != 1 {
-		t.Errorf("hedge wins = %d, want 1", got)
 	}
 }

@@ -180,7 +180,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg.ShardSize = 4
 	}
 	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = len(cfg.Client.cfg.Workers)
+		cfg.Concurrency = len(cfg.Client.inner.Endpoints())
 	}
 	if cfg.ShardRetries < 0 {
 		cfg.ShardRetries = 0

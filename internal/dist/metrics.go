@@ -9,15 +9,13 @@ import (
 )
 
 // Metrics aggregates the distributed tier's observability counters: the
-// worker client's request/retry/hedge activity and the coordinator's shard
+// worker client's request/retry activity and the coordinator's shard
 // lifecycle. All fields are safe for concurrent use and monotonic except
 // the in-flight gauge.
 type Metrics struct {
 	// Worker-client counters.
 	RequestsTotal   atomic.Int64 // HTTP attempts sent to workers
 	RequestRetries  atomic.Int64 // attempts beyond the first for a logical request
-	RequestHedges   atomic.Int64 // hedged second attempts launched for stragglers
-	HedgeWins       atomic.Int64 // hedged attempts that beat the primary
 	WorkerCooldowns atomic.Int64 // workers placed in failure cooldown
 
 	// Coordinator shard lifecycle.
@@ -43,8 +41,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges map[string]float64) {
 	}
 	counter("stsyn_dist_requests_total", "HTTP synthesis attempts sent to workers.", m.RequestsTotal.Load())
 	counter("stsyn_dist_request_retries_total", "Retried worker attempts beyond the first.", m.RequestRetries.Load())
-	counter("stsyn_dist_request_hedges_total", "Hedged second attempts launched for stragglers.", m.RequestHedges.Load())
-	counter("stsyn_dist_hedge_wins_total", "Hedged attempts that finished before the primary.", m.HedgeWins.Load())
 	counter("stsyn_dist_worker_cooldowns_total", "Workers placed in failure cooldown.", m.WorkerCooldowns.Load())
 	counter("stsyn_dist_shards_completed_total", "Shards run to a journaled completion.", m.ShardsCompleted.Load())
 	counter("stsyn_dist_shards_cancelled_total", "Shards cancelled after a lower schedule index won.", m.ShardsCancelled.Load())

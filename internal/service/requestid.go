@@ -11,8 +11,8 @@ import (
 
 // RequestIDHeader is the header that carries a request's correlation ID
 // (re-exported from the wire contract). The coordinator stamps one ID per
-// logical request and reuses it across retries and hedges, so a worker's
-// logs can be joined to the coordinator's.
+// logical request and reuses it across retries, so a worker's logs can be
+// joined to the coordinator's.
 const RequestIDHeader = stsynapi.RequestIDHeader
 
 type requestIDKey struct{}

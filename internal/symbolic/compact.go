@@ -6,8 +6,8 @@ import (
 )
 
 // DefaultCompactionThreshold is the live-node count above which the
-// engine's safe points (Compact calls and the MaybeGC checks inside the
-// SCC fixpoints) trigger a garbage collection.
+// engine's safe points (Compact calls and the MaybeGC check at CyclicSCCs
+// entry) trigger a garbage collection.
 const DefaultCompactionThreshold = 1 << 20
 
 // SetCompactionThreshold overrides the live-node watermark that triggers

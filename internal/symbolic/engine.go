@@ -49,8 +49,8 @@ type Engine struct {
 	// scratch accumulates the counters of dropped cycle-detection scratch
 	// managers so SpaceStats covers the engine's full substrate activity.
 	scratch struct {
-		ops, hits, misses, evicts, dropped uint64
-		peak                               int
+		hits, misses, evicts, dropped uint64
+		peak                          int
 	}
 
 	// sccScratch is the scratch manager retained across CyclicSCCs calls:

@@ -82,7 +82,6 @@ func (e *Engine) dropScratch() {
 		return
 	}
 	st := s.m.Stats()
-	e.scratch.ops += st.Ops - s.prev.Ops
 	e.scratch.hits += st.CacheHits - s.prev.CacheHits
 	e.scratch.misses += st.CacheMisses - s.prev.CacheMisses
 	e.scratch.evicts += st.CacheEvictions - s.prev.CacheEvictions
@@ -101,7 +100,6 @@ func (e *Engine) settleScratch(ctx *sccCtx) {
 		return
 	}
 	st := s.m.Stats()
-	e.scratch.ops += st.Ops - s.prev.Ops
 	e.scratch.hits += st.CacheHits - s.prev.CacheHits
 	e.scratch.misses += st.CacheMisses - s.prev.CacheMisses
 	e.scratch.evicts += st.CacheEvictions - s.prev.CacheEvictions

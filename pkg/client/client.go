@@ -211,7 +211,7 @@ func (c *Client) Synthesize(ctx context.Context, req *stsynapi.Request) (*stsyna
 // bytes alongside the decoded response, for callers that persist exact
 // bytes — the dist journal's byte-identical replay depends on this.
 // reqID, when non-empty, is the X-Request-ID shared by every attempt of
-// this logical request, joining server logs across retries and hedges.
+// this logical request, joining server logs across retries.
 func (c *Client) SynthesizeRaw(ctx context.Context, req *stsynapi.Request, reqID string) (*stsynapi.Response, []byte, error) {
 	var out stsynapi.Response
 	raw, err := c.roundTrip(ctx, http.MethodPost, "/v1/synthesize", req, reqID, http.StatusOK, &out)

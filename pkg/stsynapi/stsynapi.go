@@ -106,8 +106,8 @@ type Response struct {
 	AddedGroups   int `json:"added_groups"`
 	RemovedGroups int `json:"removed_groups"`
 	// RankInfinityFastFail counts the synthesizer's rank-∞ fast-fail
-	// short-circuits (doomed-batch skips, futile-batch replays, terminal
-	// aborts) during this job.
+	// short-circuits (doomed-batch skips, futile-batch replays, doomed-retry
+	// skips) during this job.
 	RankInfinityFastFail int `json:"rank_infinity_fastfail"`
 
 	ProgramSize int     `json:"program_size"`
