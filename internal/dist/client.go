@@ -10,35 +10,22 @@ import (
 	"stsyn/pkg/client"
 )
 
-// ClientConfig configures the resilient worker client. Zero values select
-// the documented defaults. The retry/backoff/rotation machinery itself
-// lives in the published pkg/client; this type keeps the coordinator's
-// configuration surface and its metrics/log plumbing.
+// ClientConfig configures the worker client, a pkg/client.Client; zero
+// values select pkg/client's defaults (see client.Config).
 type ClientConfig struct {
-	// Workers are the base URLs of the stsyn-serve workers (e.g.
-	// "http://10.0.0.5:8080"). At least one is required.
+	// Workers are the base URLs of the stsyn-serve workers. At least one
+	// is required.
 	Workers []string
-	// HTTPClient is the transport (default http.DefaultClient). The client
-	// applies RequestTimeout per attempt itself; the http.Client's own
-	// Timeout should stay 0.
+	// HTTPClient is the transport; its own Timeout should stay 0.
 	HTTPClient *http.Client
-	// RequestTimeout bounds one HTTP attempt (default 2m — synthesis jobs
-	// are slow by design).
+	// RequestTimeout bounds one HTTP attempt (client.Config.AttemptTimeout).
 	RequestTimeout time.Duration
-	// MaxAttempts bounds the attempts per logical request, first try
-	// included (default 2×len(Workers); 1 disables retries).
+	// MaxAttempts, BackoffBase and BackoffMax shape the retries.
 	MaxAttempts int
-	// BackoffBase and BackoffMax shape the capped exponential backoff
-	// between attempts (defaults 50ms and 2s); jitter of ±50% is applied.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// RetryAfterMax caps how long a worker's Retry-After advice is honored
-	// (default 5s).
-	RetryAfterMax time.Duration
-	// FailureThreshold is the number of consecutive failures after which a
-	// worker is cooled down — skipped by the rotation — for Cooldown
-	// (defaults 3 and 5s). The cooled worker is still used when every
-	// worker is cooling, so the client never deadlocks itself.
+	// FailureThreshold consecutive failures cool a worker down — skip it
+	// in the rotation — for Cooldown.
 	FailureThreshold int
 	Cooldown         time.Duration
 	// Tenant, when set, names the tenant bucket the workers account these
@@ -58,11 +45,10 @@ func IsSynthesisFailure(err error) bool {
 	return errors.As(err, &ce) && ce.Status == http.StatusUnprocessableEntity
 }
 
-// Client fans synthesis requests out to a fleet of stsyn-serve workers
-// with per-attempt timeouts, capped exponential backoff with jitter,
-// Retry-After honoring and failure-aware worker rotation. The resilience
-// core is pkg/client's middleware stack; this type adds the coordinator's
-// metrics and log plumbing. Safe for concurrent use.
+// Client sends synthesis requests to a fleet of stsyn-serve workers
+// through pkg/client's request loop (retries, backoff, Retry-After,
+// worker rotation) and adds the coordinator's metrics and log lines.
+// Safe for concurrent use.
 type Client struct {
 	inner   *client.Client
 	metrics *Metrics
@@ -71,9 +57,6 @@ type Client struct {
 
 // NewClient validates cfg and builds a Client.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	if len(cfg.Workers) == 0 {
-		return nil, errors.New("dist: no workers configured")
-	}
 	c := &Client{metrics: cfg.Metrics, logf: cfg.Logf}
 	if c.metrics == nil {
 		c.metrics = &Metrics{}
@@ -88,7 +71,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		MaxAttempts:      cfg.MaxAttempts,
 		BackoffBase:      cfg.BackoffBase,
 		BackoffMax:       cfg.BackoffMax,
-		RetryAfterMax:    cfg.RetryAfterMax,
 		FailureThreshold: cfg.FailureThreshold,
 		Cooldown:         cfg.Cooldown,
 		Tenant:           cfg.Tenant,
@@ -114,22 +96,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // Metrics returns the counters the client publishes to.
 func (c *Client) Metrics() *Metrics { return c.metrics }
 
-// WorkerStatus is one worker's health snapshot.
-type WorkerStatus struct {
-	URL        string
-	Fails      int           // consecutive failures
-	CoolingFor time.Duration // 0 when healthy
-}
-
 // Workers snapshots each worker's health.
-func (c *Client) Workers() []WorkerStatus {
-	eps := c.inner.Endpoints()
-	out := make([]WorkerStatus, len(eps))
-	for i, ep := range eps {
-		out[i] = WorkerStatus{URL: ep.URL, Fails: ep.Fails, CoolingFor: ep.CoolingFor}
-	}
-	return out
-}
+func (c *Client) Workers() []client.EndpointStatus { return c.inner.Endpoints() }
 
 // Synthesize runs one synthesis request against the fleet, retrying per
 // the configured policy. reqID is the X-Request-ID shared by every attempt

@@ -1,3 +1,21 @@
+// Package client is the published Go client for the stsyn synthesis
+// service: one request loop (per-attempt timeouts, capped exponential
+// backoff with jitter, Retry-After honoring, failure-cooldown endpoint
+// rotation, one X-Request-ID across every attempt) under a typed API over
+// every service endpoint — synchronous synthesis, the async job lifecycle
+// (submit / poll / cancel / wait) and batching. Tracing and auth wrap
+// Config.HTTPClient's Transport, which sees every attempt.
+//
+// Every service failure surfaces as a *client.Error wrapping the typed
+// *stsynerr.Error the server emitted, so callers branch with errors.As /
+// errors.Is on registered error names instead of matching message strings:
+//
+//	resp, err := c.Synthesize(ctx, req)
+//	if stsynerr.IsName(err, stsynerr.QueueFull) { backoffAndRetry() }
+//
+// The package imports only the standard library and the wire contract
+// (pkg/stsynapi, pkg/stsynerr) — no internal packages — so it is safe to
+// depend on from outside the repository.
 package client
 
 import (
@@ -8,7 +26,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	mrand "math/rand/v2"
 	"net/http"
+	"net/url"
 	"time"
 
 	"stsyn/pkg/stsynapi"
@@ -22,6 +42,13 @@ const (
 	TenantHeader    = stsynapi.TenantHeader
 )
 
+const (
+	// maxResponseBytes bounds how much of a response body is read.
+	maxResponseBytes = 64 << 20
+	// retryAfterMax caps how long a server's Retry-After advice is honored.
+	retryAfterMax = 5 * time.Second
+)
+
 // Config configures a Client. Zero values select the documented defaults;
 // only Endpoints is required.
 type Config struct {
@@ -30,43 +57,33 @@ type Config struct {
 	Endpoints []string
 	// HTTPClient is the transport (default http.DefaultClient). The client
 	// applies AttemptTimeout per attempt itself; the http.Client's own
-	// Timeout should stay 0.
+	// Timeout should stay 0. Tracing or auth wraps its Transport, which
+	// runs once per attempt.
 	HTTPClient *http.Client
-	// AttemptTimeout bounds one HTTP attempt (default 2m).
+	// AttemptTimeout bounds one HTTP attempt, reading the body included
+	// (default 2m — synthesis jobs are slow by design).
 	AttemptTimeout time.Duration
 	// MaxAttempts bounds attempts per logical request, first try included
 	// (default 2×len(Endpoints); 1 disables retries).
 	MaxAttempts int
 	// BackoffBase and BackoffMax shape the capped exponential backoff
-	// between attempts (defaults 50ms and 2s); ±50% jitter is applied.
+	// between attempts (defaults 50ms and 2s); ±50% jitter is applied, and
+	// a longer Retry-After advice wins, up to 5s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// RetryAfterMax caps how long a server's Retry-After advice is honored
-	// (default 5s).
-	RetryAfterMax time.Duration
 	// FailureThreshold and Cooldown configure endpoint rotation: after
 	// FailureThreshold consecutive failures an endpoint is skipped for
 	// Cooldown (defaults 3 and 5s), unless every endpoint is cooling.
 	FailureThreshold int
 	Cooldown         time.Duration
-	// MaxResponseBytes bounds response bodies (default 64 MiB).
-	MaxResponseBytes int64
-	// UserAgent, when set, is stamped on requests that lack one.
-	UserAgent string
 	// Tenant, when set, names the tenant bucket requests are accounted to
 	// (the X-Stsyn-Tenant header).
 	Tenant string
-	// NewRequestID supplies correlation IDs for requests the caller did
-	// not stamp (default: random 16-hex-digit).
-	NewRequestID func() string
-	// Observer, when non-nil, receives the retry loop's events.
+	// Observer, when non-nil, receives the request loop's events.
 	Observer *Observer
-	// Middleware is appended outside the built-in stack (outermost first),
-	// for caller-supplied tracing, auth, and the like.
-	Middleware []Middleware
 }
 
-// Observer receives the client's retry-loop events, for callers that
+// Observer receives the client's request-loop events, for callers that
 // aggregate their own metrics.
 type Observer struct {
 	// OnAttempt fires once per HTTP attempt, before it is sent.
@@ -77,55 +94,57 @@ type Observer struct {
 	OnCooldown func(endpoint string, fails int, d time.Duration)
 }
 
-// Client is a typed stsyn-serve client over a resilient middleware stack.
+// Client is a typed stsyn-serve client over one resilient request loop.
 // Safe for concurrent use.
 type Client struct {
-	doer      Doer
-	endpoints *Endpoints
+	hc             *http.Client
+	eps            *endpoints
+	tenant         string
+	obs            Observer
+	maxAttempts    int
+	attemptTimeout time.Duration
+	backoffBase    time.Duration
+	backoffMax     time.Duration
 }
 
 // New validates cfg and builds a Client.
 func New(cfg Config) (*Client, error) {
-	eps, err := NewEndpoints(cfg.Endpoints)
+	eps, err := newEndpoints(cfg.Endpoints, cfg.FailureThreshold, cfg.Cooldown)
 	if err != nil {
 		return nil, err
 	}
-	eps.SetCooldown(cfg.FailureThreshold, cfg.Cooldown)
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
+	c := &Client{
+		hc:             cfg.HTTPClient,
+		eps:            eps,
+		tenant:         cfg.Tenant,
+		maxAttempts:    cfg.MaxAttempts,
+		attemptTimeout: cfg.AttemptTimeout,
+		backoffBase:    cfg.BackoffBase,
+		backoffMax:     cfg.BackoffMax,
 	}
-	newID := cfg.NewRequestID
-	if newID == nil {
-		newID = NewRequestID
+	if cfg.Observer != nil {
+		c.obs = *cfg.Observer
 	}
-	rcfg := RetryConfig{
-		Endpoints:        eps,
-		MaxAttempts:      cfg.MaxAttempts,
-		AttemptTimeout:   cfg.AttemptTimeout,
-		BackoffBase:      cfg.BackoffBase,
-		BackoffMax:       cfg.BackoffMax,
-		RetryAfterMax:    cfg.RetryAfterMax,
-		MaxResponseBytes: cfg.MaxResponseBytes,
+	if c.hc == nil {
+		c.hc = http.DefaultClient
 	}
-	if obs := cfg.Observer; obs != nil {
-		rcfg.OnAttempt = obs.OnAttempt
-		rcfg.OnRetry = obs.OnRetry
-		rcfg.OnCooldown = obs.OnCooldown
+	if c.maxAttempts <= 0 {
+		c.maxAttempts = 2 * len(eps.urls)
 	}
-	mw := append([]Middleware{}, cfg.Middleware...)
-	if cfg.UserAgent != "" {
-		mw = append(mw, WithUserAgent(cfg.UserAgent))
+	if c.attemptTimeout <= 0 {
+		c.attemptTimeout = 2 * time.Minute
 	}
-	if cfg.Tenant != "" {
-		mw = append(mw, WithHeader(TenantHeader, cfg.Tenant))
+	if c.backoffBase <= 0 {
+		c.backoffBase = 50 * time.Millisecond
 	}
-	mw = append(mw, WithRequestID(newID), WithRetry(rcfg))
-	return &Client{doer: Wrap(hc, mw...), endpoints: eps}, nil
+	if c.backoffMax <= 0 {
+		c.backoffMax = 2 * time.Second
+	}
+	return c, nil
 }
 
-// NewRequestID returns a fresh 16-hex-digit correlation ID.
-func NewRequestID() string {
+// newRequestID returns a fresh 16-hex-digit correlation ID.
+func newRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return "0000000000000000"
@@ -134,69 +153,145 @@ func NewRequestID() string {
 }
 
 // Endpoints snapshots each endpoint's health.
-func (c *Client) Endpoints() []EndpointStatus { return c.endpoints.Status() }
+func (c *Client) Endpoints() []EndpointStatus { return c.eps.status() }
 
-// roundTrip runs one typed call: marshal in (when non-nil), send, read
-// the (already buffered) body, and either decode a non-want status into a
-// typed error or unmarshal the body into out (when non-nil). The returned
-// bytes are the compacted response body.
+// roundTrip runs one typed call: marshal in (when non-nil), run the
+// request loop, and unmarshal the answer into out (when non-nil). The
+// returned bytes are the compacted response body.
 func (c *Client) roundTrip(ctx context.Context, method, path string, in interface{}, reqID string, want int, out interface{}) ([]byte, error) {
-	var body *bytes.Reader
+	var body []byte
 	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			return nil, fmt.Errorf("client: marshal request: %w", err)
 		}
-		body = bytes.NewReader(data)
-	} else {
-		body = bytes.NewReader(nil)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, path, body)
-	if err != nil {
-		return nil, fmt.Errorf("client: build request: %w", err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if reqID != "" {
-		req.Header.Set(RequestIDHeader, reqID)
-	}
-	resp, err := c.doer.Do(req)
+	raw, endpoint, err := c.do(ctx, method, path, body, reqID, want)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	if out != nil {
+		if err := json.Unmarshal(raw, out); err != nil {
+			return nil, &Error{Endpoint: endpoint, Err: fmt.Errorf("bad response body: %w", err)}
+		}
+	}
+	return raw, nil
+}
+
+// do is the request loop. Each attempt goes to the next endpoint in
+// rotation and carries the same request ID (a fresh one when reqID is
+// empty); an answer with status want returns its compacted body and the
+// endpoint that gave it. Transport failures and the statuses
+// (*Error).Temporary accepts count against the endpoint and are retried,
+// after a jittered backoff stretched by Retry-After advice; any other
+// status is the final answer.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, reqID string, want int) ([]byte, string, error) {
+	if reqID == "" {
+		reqID = newRequestID()
+	}
+	var last *Error
+	lastIdx := -1
+	for attempt := 1; attempt <= c.maxAttempts; attempt++ {
+		if attempt > 1 {
+			wait := c.backoff(attempt-1, last)
+			if c.obs.OnRetry != nil {
+				c.obs.OnRetry(attempt, wait, last)
+			}
+			select {
+			case <-time.After(wait):
+			case <-ctx.Done():
+				return nil, "", ctx.Err()
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, "", err
+		}
+		idx, base := c.eps.pick(lastIdx)
+		lastIdx = idx
+		resp, raw, err := c.attempt(ctx, method, base, path, body, reqID)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, "", err
+			}
+			last = &Error{Endpoint: base, Err: err}
+			c.markFailure(idx, base)
+			continue
+		}
+		if resp.StatusCode < 300 {
+			c.eps.markSuccess(idx)
+		}
+		if resp.StatusCode == want {
+			return raw, base, nil
+		}
+		ce := responseError(base, resp, raw)
+		if !ce.Temporary() {
+			// A permanent verdict (a 4xx, or an unwanted 2xx/3xx): every
+			// endpoint would agree, so it is neither a failure of this
+			// endpoint nor worth a retry.
+			return nil, "", ce
+		}
+		last = ce
+		c.markFailure(idx, base)
+	}
+	return nil, "", fmt.Errorf("client: request failed after %d attempts: %w", c.maxAttempts, last)
+}
+
+// attempt sends one try to one endpoint and reads its body, compacted,
+// inside the attempt's timeout.
+func (c *Client) attempt(ctx context.Context, method, base, path string, body []byte, reqID string) (*http.Response, []byte, error) {
+	if c.obs.OnAttempt != nil {
+		c.obs.OnAttempt(base)
+	}
+	actx, cancel := context.WithTimeout(ctx, c.attemptTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(actx, method, base+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, &Error{Endpoint: endpointOf(resp), Err: fmt.Errorf("reading response: %w", err)}
+		return nil, nil, fmt.Errorf("building request: %w", err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if c.tenant != "" {
+		req.Header.Set(TenantHeader, c.tenant)
+	}
+	req.Header.Set(RequestIDHeader, reqID)
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	if err != nil {
+		return nil, nil, fmt.Errorf("reading response: %w", err)
 	}
 	// Servers pretty-print their bodies; compact so callers that persist
 	// raw responses (the dist journal) get a canonical byte form.
 	if compacted := new(bytes.Buffer); json.Compact(compacted, raw) == nil {
 		raw = compacted.Bytes()
 	}
-	if resp.StatusCode != want {
-		serr := stsynerr.Decode(resp.StatusCode, raw)
-		ce := &Error{Endpoint: endpointOf(resp), Status: resp.StatusCode, Err: serr}
-		if serr.RetryAfter > 0 {
-			ce.RetryAfter = time.Duration(serr.RetryAfter) * time.Second
-		}
-		return raw, ce
-	}
-	if out != nil {
-		if err := json.Unmarshal(raw, out); err != nil {
-			return nil, &Error{Endpoint: endpointOf(resp), Err: fmt.Errorf("bad response body: %w", err)}
-		}
-	}
-	return raw, nil
+	return resp, raw, nil
 }
 
-// endpointOf recovers the base URL that answered a response.
-func endpointOf(resp *http.Response) string {
-	if resp.Request != nil && resp.Request.URL != nil {
-		return resp.Request.URL.Scheme + "://" + resp.Request.URL.Host
+// backoff computes the wait before retry number attempt (1-based),
+// honoring the failed endpoint's Retry-After advice when it is larger.
+func (c *Client) backoff(attempt int, last *Error) time.Duration {
+	d := c.backoffBase << uint(attempt-1)
+	if d > c.backoffMax || d <= 0 {
+		d = c.backoffMax
 	}
-	return ""
+	d = time.Duration(float64(d) * (0.5 + mrand.Float64())) // ±50%
+	if last.RetryAfter > d {
+		d = min(last.RetryAfter, retryAfterMax)
+	}
+	return d
+}
+
+// markFailure records a failure on the rotation and surfaces new
+// cooldowns to the observer.
+func (c *Client) markFailure(idx int, base string) {
+	if cooled, fails := c.eps.markFailure(idx); cooled && c.obs.OnCooldown != nil {
+		c.obs.OnCooldown(base, fails, c.eps.cooldown)
+	}
 }
 
 // Synthesize runs one synthesis request synchronously (POST
@@ -237,7 +332,7 @@ func (c *Client) SubmitJob(ctx context.Context, req *stsynapi.Request) (*stsynap
 // IDs answer a typed JobNotFound.
 func (c *Client) Job(ctx context.Context, id string) (*stsynapi.JobStatus, error) {
 	var out stsynapi.JobStatus
-	if _, err := c.roundTrip(ctx, http.MethodGet, "/v1/jobs/"+id, nil, "", http.StatusOK, &out); err != nil {
+	if _, err := c.roundTrip(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, "", http.StatusOK, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -247,7 +342,7 @@ func (c *Client) Job(ctx context.Context, id string) (*stsynapi.JobStatus, error
 // at its next cancellation point and the job's status turns canceled.
 func (c *Client) CancelJob(ctx context.Context, id string) (*stsynapi.JobStatus, error) {
 	var out stsynapi.JobStatus
-	if _, err := c.roundTrip(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, "", http.StatusOK, &out); err != nil {
+	if _, err := c.roundTrip(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, "", http.StatusOK, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

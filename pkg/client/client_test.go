@@ -6,7 +6,9 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,40 +177,149 @@ func TestRequestIDIsStableAcrossAttempts(t *testing.T) {
 	}
 }
 
-func TestConfiguredHeadersAndMiddlewareOrder(t *testing.T) {
-	var gotUA, gotTenant, gotMark string
+// ctxKey carries a caller value through the request context to the
+// caller's transport.
+type ctxKey struct{}
+
+// headerTransport records, per attempt, the headers the request loop sets
+// and the caller value carried in the request's context.
+type headerTransport struct {
+	mu   sync.Mutex
+	seen []string
+}
+
+func (ht *headerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	v, _ := req.Context().Value(ctxKey{}).(string)
+	ht.mu.Lock()
+	ht.seen = append(ht.seen, strings.Join([]string{
+		req.Header.Get(TenantHeader), req.Header.Get(RequestIDHeader), req.Header.Get("Content-Type"), v,
+	}, "|"))
+	ht.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// A caller's HTTPClient.Transport is the extension point for tracing and
+// auth: it sees every attempt, each carrying the tenant, the one request
+// ID of the call, the content type and the caller's context values.
+func TestCallerTransportSeesEveryAttempt(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		gotUA = r.Header.Get("User-Agent")
-		gotTenant = r.Header.Get(TenantHeader)
-		gotMark = r.Header.Get("X-Trace")
+		if hits.Add(1) == 1 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
 		json.NewEncoder(w).Encode(&stsynapi.Response{Verified: true})
 	}))
 	defer srv.Close()
 
-	var outerCalls atomic.Int64
+	ht := &headerTransport{}
 	cfg := fastConfig(srv.URL)
-	cfg.UserAgent = "stsyn-test/1"
+	cfg.HTTPClient = &http.Client{Transport: ht}
 	cfg.Tenant = "acme"
-	cfg.Middleware = []Middleware{func(next Doer) Doer {
-		return DoerFunc(func(req *http.Request) (*http.Response, error) {
-			outerCalls.Add(1)
-			req.Header.Set("X-Trace", "outer")
-			return next.Do(req)
-		})
-	}}
 	c := mustClient(t, cfg)
-	if _, err := c.Synthesize(context.Background(), &stsynapi.Request{Protocol: "tokenring"}); err != nil {
+	ctx := context.WithValue(context.Background(), ctxKey{}, "span-1")
+	if _, _, err := c.SynthesizeRaw(ctx, &stsynapi.Request{Protocol: "tokenring"}, "req-9"); err != nil {
 		t.Fatal(err)
 	}
-	if gotUA != "stsyn-test/1" || gotTenant != "acme" || gotMark != "outer" {
-		t.Errorf("headers = UA %q tenant %q trace %q", gotUA, gotTenant, gotMark)
+	want := "acme|req-9|application/json|span-1"
+	if len(ht.seen) != 2 || ht.seen[0] != want || ht.seen[1] != want {
+		t.Errorf("transport saw %q, want %q on both attempts", ht.seen, want)
 	}
-	// Caller middleware sits outside the retry loop: one call per logical
-	// request, not per attempt.
-	if outerCalls.Load() != 1 || hits.Load() != 1 {
-		t.Errorf("outer middleware calls = %d, hits = %d, want 1 and 1", outerCalls.Load(), hits.Load())
+}
+
+// The retry rule lives in (*Error).Temporary alone: for every outcome the
+// loop retries exactly when the final error says it is temporary.
+func TestRetryFollowsTemporary(t *testing.T) {
+	const transportFailure = 0
+	for _, status := range []int{transportFailure, 400, 404, 422, 429, 500, 503} {
+		t.Run(strconv.Itoa(status), func(t *testing.T) {
+			var hits atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				if status == transportFailure {
+					conn, _, err := w.(http.Hijacker).Hijack()
+					if err == nil {
+						conn.Close()
+					}
+					return
+				}
+				w.WriteHeader(status)
+				json.NewEncoder(w).Encode(stsynerr.New(stsynerr.Internal, "canned").Envelope())
+			}))
+			defer srv.Close()
+
+			cfg := fastConfig(srv.URL)
+			cfg.MaxAttempts = 2
+			_, err := mustClient(t, cfg).Synthesize(context.Background(), &stsynapi.Request{Protocol: "tokenring"})
+			var ce *Error
+			if !errors.As(err, &ce) || ce.Status != status {
+				t.Fatalf("err = %v, want a *client.Error with status %d", err, status)
+			}
+			retried := hits.Load() == 2
+			if hits.Load() != 1 && !retried {
+				t.Fatalf("%d server hits, want 1 or 2", hits.Load())
+			}
+			if ce.Temporary() != retried || IsTemporary(err) != retried {
+				t.Errorf("Temporary() = %v, but retried = %v (%d hits)", ce.Temporary(), retried, hits.Load())
+			}
+		})
+	}
+}
+
+// Retry-After advice is read once per response: the header first, else
+// the envelope's retry_after_seconds.
+func TestRetryAfterFromHeaderOrEnvelope(t *testing.T) {
+	for _, tc := range []struct {
+		name, header string
+		envelope     int
+		want         time.Duration
+	}{
+		{"header", "2", 0, 2 * time.Second},
+		{"header wins", "3", 7, 3 * time.Second},
+		{"envelope", "", 4, 4 * time.Second},
+		{"garbage header", "soon", 4, 4 * time.Second},
+		{"neither", "", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if tc.header != "" {
+					w.Header().Set("Retry-After", tc.header)
+				}
+				se := stsynerr.New(stsynerr.QueueFull, "full")
+				se.RetryAfter = tc.envelope
+				w.WriteHeader(http.StatusTooManyRequests)
+				json.NewEncoder(w).Encode(se.Envelope())
+			}))
+			defer srv.Close()
+
+			cfg := fastConfig(srv.URL)
+			cfg.MaxAttempts = 1
+			_, err := mustClient(t, cfg).Synthesize(context.Background(), &stsynapi.Request{Protocol: "tokenring"})
+			var ce *Error
+			if !errors.As(err, &ce) {
+				t.Fatalf("err = %v, want a *client.Error", err)
+			}
+			if ce.RetryAfter != tc.want {
+				t.Errorf("RetryAfter = %v, want %v", ce.RetryAfter, tc.want)
+			}
+		})
+	}
+}
+
+// Retry-After stretches the backoff only up to the 5s cap.
+func TestBackoffHonorsRetryAfterUpToCap(t *testing.T) {
+	c := mustClient(t, fastConfig("http://a"))
+	if d := c.backoff(1, &Error{}); d < 500*time.Microsecond || d > 1500*time.Microsecond {
+		t.Errorf("first backoff = %v, want 1ms ±50%%", d)
+	}
+	if d := c.backoff(9, &Error{}); d > 7500*time.Microsecond {
+		t.Errorf("ninth backoff = %v, want at most BackoffMax 5ms +50%%", d)
+	}
+	if d := c.backoff(1, &Error{RetryAfter: 2 * time.Second}); d != 2*time.Second {
+		t.Errorf("backoff with Retry-After 2s = %v", d)
+	}
+	if d := c.backoff(1, &Error{RetryAfter: time.Minute}); d != retryAfterMax {
+		t.Errorf("backoff with Retry-After 1m = %v, want the %v cap", d, retryAfterMax)
 	}
 }
 
@@ -268,36 +379,35 @@ func TestWaitJobSurfacesTypedFailure(t *testing.T) {
 }
 
 func TestEndpointsRotationFallsBackWhenAllCooling(t *testing.T) {
-	eps, err := NewEndpoints([]string{"http://a/", "http://b"})
+	if _, err := newEndpoints(nil, 0, 0); err == nil {
+		t.Errorf("empty rotation accepted")
+	}
+	eps, err := newEndpoints([]string{"http://a/", "http://b"}, 1, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps.SetCooldown(1, time.Minute)
-	if eps.Len() != 2 {
-		t.Fatalf("Len = %d", eps.Len())
-	}
-	i0, u0 := eps.Pick(-1)
+	i0, u0 := eps.pick(-1)
 	if u0 != "http://a" {
 		t.Errorf("first pick = %q, want trailing slash trimmed http://a", u0)
 	}
-	if cooled, _ := eps.MarkFailure(i0); !cooled {
+	if cooled, _ := eps.markFailure(i0); !cooled {
 		t.Errorf("threshold-1 failure did not cool")
 	}
-	i1, _ := eps.Pick(i0)
+	i1, _ := eps.pick(i0)
 	if i1 == i0 {
 		t.Errorf("pick repeated the excluded endpoint with a healthy one available")
 	}
-	eps.MarkFailure(i1)
+	eps.markFailure(i1)
 	// Both cooling: rotation must still yield something rather than spin.
-	if _, u := eps.Pick(-1); u == "" {
+	if _, u := eps.pick(-1); u == "" {
 		t.Errorf("all-cooling fallback returned nothing")
 	}
-	st := eps.Status()
+	st := eps.status()
 	if len(st) != 2 || st[0].CoolingFor <= 0 || st[1].CoolingFor <= 0 {
 		t.Errorf("status = %+v, want both cooling", st)
 	}
-	eps.MarkSuccess(i0)
-	if st := eps.Status(); st[i0].Fails != 0 || st[i0].CoolingFor != 0 {
-		t.Errorf("MarkSuccess did not reset: %+v", st[i0])
+	eps.markSuccess(i0)
+	if st := eps.status(); st[i0].Fails != 0 || st[i0].CoolingFor != 0 {
+		t.Errorf("markSuccess did not reset: %+v", st[i0])
 	}
 }

@@ -7,19 +7,20 @@ import (
 	"time"
 )
 
-// Endpoints is a rotating set of service base URLs with failure-aware
+// endpoints is a rotating set of service base URLs with failure-aware
 // cooldown: consecutive failures past a threshold take an endpoint out of
 // rotation for a cooldown period, and the rotation falls back to plain
 // round-robin when every endpoint is cooling so the client never
 // deadlocks itself. Safe for concurrent use.
-type Endpoints struct {
-	mu        sync.Mutex
+type endpoints struct {
 	urls      []string
-	state     []endpointState
-	rr        int // round-robin cursor
 	threshold int // consecutive failures before cooldown
 	cooldown  time.Duration
 	now       func() time.Time // test hook
+
+	mu    sync.Mutex
+	state []endpointState
+	rr    int // round-robin cursor
 }
 
 type endpointState struct {
@@ -34,46 +35,36 @@ type EndpointStatus struct {
 	CoolingFor time.Duration // 0 when healthy
 }
 
-// NewEndpoints builds a rotation over the given base URLs (e.g.
-// "http://10.0.0.5:8080"; trailing slashes are trimmed). At least one is
-// required. Defaults: cooldown after 3 consecutive failures, for 5s.
-func NewEndpoints(urls []string) (*Endpoints, error) {
+// newEndpoints builds a rotation over the given base URLs (trailing
+// slashes are trimmed). At least one is required; non-positive threshold
+// and cooldown select 3 failures and 5s.
+func newEndpoints(urls []string, threshold int, cooldown time.Duration) (*endpoints, error) {
 	if len(urls) == 0 {
 		return nil, errors.New("client: no endpoints configured")
+	}
+	if threshold <= 0 {
+		threshold = 3
+	}
+	if cooldown <= 0 {
+		cooldown = 5 * time.Second
 	}
 	cleaned := make([]string, len(urls))
 	for i, u := range urls {
 		cleaned[i] = strings.TrimRight(u, "/")
 	}
-	return &Endpoints{
+	return &endpoints{
 		urls:      cleaned,
-		state:     make([]endpointState, len(urls)),
-		threshold: 3,
-		cooldown:  5 * time.Second,
+		threshold: threshold,
+		cooldown:  cooldown,
 		now:       time.Now,
+		state:     make([]endpointState, len(urls)),
 	}, nil
 }
 
-// SetCooldown tunes the failure threshold and cooldown duration
-// (non-positive values keep the current setting).
-func (e *Endpoints) SetCooldown(threshold int, d time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if threshold > 0 {
-		e.threshold = threshold
-	}
-	if d > 0 {
-		e.cooldown = d
-	}
-}
-
-// Len returns the number of endpoints.
-func (e *Endpoints) Len() int { return len(e.urls) }
-
-// Pick returns the next endpoint in rotation, skipping the excluded index
-// (the one that just failed; pass -1 for none) and ones in cooldown; when
+// pick returns the next endpoint in rotation, skipping the excluded index
+// (the one that just failed; -1 for none) and ones in cooldown; when
 // every endpoint is cooling it falls back to plain rotation.
-func (e *Endpoints) Pick(exclude int) (int, string) {
+func (e *endpoints) pick(exclude int) (int, string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.now()
@@ -94,37 +85,30 @@ func (e *Endpoints) Pick(exclude int) (int, string) {
 	return i, e.urls[i]
 }
 
-// MarkSuccess resets an endpoint's failure streak.
-func (e *Endpoints) MarkSuccess(i int) {
+// markSuccess resets an endpoint's failure streak.
+func (e *endpoints) markSuccess(i int) {
 	e.mu.Lock()
-	e.state[i].fails = 0
-	e.state[i].coolUntil = time.Time{}
+	e.state[i] = endpointState{}
 	e.mu.Unlock()
 }
 
-// MarkFailure records one failure; crossing the threshold starts a
+// markFailure records one failure; crossing the threshold starts a
 // cooldown and reports (true, fails) exactly once per cooldown so the
 // caller can count and log it.
-func (e *Endpoints) MarkFailure(i int) (cooled bool, fails int) {
+func (e *endpoints) markFailure(i int) (cooled bool, fails int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.state[i].fails++
-	if e.state[i].fails >= e.threshold && e.now().After(e.state[i].coolUntil) {
-		e.state[i].coolUntil = e.now().Add(e.cooldown)
-		return true, e.state[i].fails
+	st := &e.state[i]
+	st.fails++
+	if now := e.now(); st.fails >= e.threshold && now.After(st.coolUntil) {
+		st.coolUntil = now.Add(e.cooldown)
+		return true, st.fails
 	}
-	return false, e.state[i].fails
+	return false, st.fails
 }
 
-// Cooldown returns the configured cooldown duration.
-func (e *Endpoints) Cooldown() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cooldown
-}
-
-// Status snapshots each endpoint's health.
-func (e *Endpoints) Status() []EndpointStatus {
+// status snapshots each endpoint's health.
+func (e *endpoints) status() []EndpointStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.now()

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
+
+	"stsyn/pkg/stsynerr"
 )
 
 // Error is one failed interaction with the service: a transport failure
@@ -24,6 +27,24 @@ type Error struct {
 	// Err is the cause: the decoded *stsynerr.Error for service error
 	// responses, the transport error otherwise.
 	Err error
+}
+
+// responseError builds the Error for an answer the caller did not want:
+// the endpoint, the status, the decoded error envelope, and the
+// Retry-After advice — the header's, else the envelope's
+// retry_after_seconds (stsyn-serve sends the header on every 429 and 503,
+// and the envelope field too when it has a hint).
+func responseError(endpoint string, resp *http.Response, raw []byte) *Error {
+	serr := stsynerr.Decode(resp.StatusCode, raw)
+	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if err != nil || secs <= 0 {
+		secs = serr.RetryAfter
+	}
+	ce := &Error{Endpoint: endpoint, Status: resp.StatusCode, Err: serr}
+	if secs > 0 {
+		ce.RetryAfter = time.Duration(secs) * time.Second
+	}
+	return ce
 }
 
 func (e *Error) Error() string {

@@ -84,34 +84,38 @@ go test -race -count=1 -run '^(TestGroupKeyFormat|TestGroupKeysCached|TestInvari
 # The FuzzRenderEquivalence smoke runs with the fuzz smokes above.
 go test -race -count=1 -run '^(TestRenderMatchesReference|TestCLITextMatchesRender)$' ./internal/pretty ./cmd/stsyn
 
-# Coverage floor for the BDD manager: the GC and cache paths must stay
-# exercised by the property tests.
-floor=85
-cov=$(go test -cover ./internal/bdd | awk '{for (i=1;i<=NF;i++) if ($i ~ /^coverage:/) {sub(/%$/,"",$(i+1)); print $(i+1)}}')
-# The parse must yield exactly one numeric value: multi-line or non-numeric
-# output means the coverage format changed, and silently comparing garbage
+# Coverage floors. coverage_floor PKG FLOOR [go test flags...] prints the
+# package's statement coverage and fails when it is below FLOOR. The parse
+# must yield exactly one numeric value: multi-line or non-numeric output
+# means the coverage format changed, and silently comparing garbage
 # against the floor would turn the gate into a no-op.
-if [ "$(printf '%s\n' "$cov" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$cov" | grep -Eq '^[0-9]+(\.[0-9]+)?$'; then
-    echo "check.sh: could not parse internal/bdd coverage (got: '$cov')" >&2
-    exit 1
-fi
-if ! awk -v c="$cov" -v f="$floor" 'BEGIN { exit !(c >= f) }'; then
-    echo "check.sh: internal/bdd coverage ${cov}% is below the ${floor}% floor" >&2
-    exit 1
-fi
+coverage_floor() {
+    pkg=$1 floor=$2
+    shift 2
+    cov=$(go test "$@" -cover "./$pkg" | awk '{for (i=1;i<=NF;i++) if ($i ~ /^coverage:/) {sub(/%$/,"",$(i+1)); print $(i+1)}}')
+    if [ "$(printf '%s\n' "$cov" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$cov" | grep -Eq '^[0-9]+(\.[0-9]+)?$'; then
+        echo "check.sh: could not parse $pkg coverage (got: '$cov')" >&2
+        exit 1
+    fi
+    if ! awk -v c="$cov" -v f="$floor" 'BEGIN { exit !(c >= f) }'; then
+        echo "check.sh: $pkg coverage ${cov}% is below the ${floor}% floor" >&2
+        exit 1
+    fi
+    echo "$cov"
+}
 
-# Coverage floor for the analyzer suite itself: stsyn-vet gates every other
-# package, so its own CFG and analyzer paths must stay exercised by the
-# fixture battery. (-short skips the whole-module dogfood test; the fixtures
-# alone must carry the floor.)
-lintfloor=80
-lintcov=$(go test -short -cover ./internal/lint | awk '{for (i=1;i<=NF;i++) if ($i ~ /^coverage:/) {sub(/%$/,"",$(i+1)); print $(i+1)}}')
-if [ "$(printf '%s\n' "$lintcov" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$lintcov" | grep -Eq '^[0-9]+(\.[0-9]+)?$'; then
-    echo "check.sh: could not parse internal/lint coverage (got: '$lintcov')" >&2
-    exit 1
-fi
-if ! awk -v c="$lintcov" -v f="$lintfloor" 'BEGIN { exit !(c >= f) }'; then
-    echo "check.sh: internal/lint coverage ${lintcov}% is below the ${lintfloor}% floor" >&2
-    exit 1
-fi
-echo "check.sh: all clean (internal/bdd coverage ${cov}%, internal/lint coverage ${lintcov}%)"
+# The BDD manager: the GC and cache paths must stay exercised by the
+# property tests.
+bddcov=$(coverage_floor internal/bdd 85)
+
+# The analyzer suite itself: stsyn-vet gates every other package, so its
+# own CFG and analyzer paths must stay exercised by the fixture battery.
+# (-short skips the whole-module dogfood test; the fixtures alone must
+# carry the floor.)
+lintcov=$(coverage_floor internal/lint 80 -short)
+
+# The published client: its request loop (retry rule, backoff, rotation,
+# Retry-After, headers) must stay exercised by its own tests.
+clientcov=$(coverage_floor pkg/client 80)
+
+echo "check.sh: all clean (internal/bdd coverage ${bddcov}%, internal/lint coverage ${lintcov}%, pkg/client coverage ${clientcov}%)"
