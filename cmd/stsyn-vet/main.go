@@ -1,10 +1,9 @@
 // Command stsyn-vet runs the repository's custom static analyzers: the
-// project-specific correctness invariants (flow-sensitive Keep/Release
-// protection of BDD refs, goroutine join discipline, lock/blocking
-// separation, determinism of the synthesis core, context propagation,
-// dependency direction, panic-freedom of the serving path, metric naming,
-// and the pinned public-API surface) as a gating check rather than
-// reviewer folklore.
+// project-specific correctness invariants (goroutine join discipline,
+// lock/blocking separation, determinism of the synthesis core, context
+// propagation, dependency direction, panic-freedom of the serving path,
+// metric naming, and the pinned public-API surface) as a gating check
+// rather than reviewer folklore.
 //
 // Usage:
 //

@@ -142,3 +142,25 @@ func TestCLITextMatchesRender(t *testing.T) {
 		})
 	}
 }
+
+// Built-in parameters out of range are an ordinary error: run exits 1
+// with the parameter rule's message instead of panicking in the protocol
+// constructor.
+func TestOutOfRangeParametersFail(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-p", "matching", "-k", "1"}, "requires k ≥ 3, got 1"},
+		{[]string{"-p", "coloring", "-k", "0"}, "requires k ≥ 3, got 0"},
+		{[]string{"-p", "tokenring", "-k", "3", "-dom", "1"}, "requires dom ≥ 2, got 1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit code %d, want 1 (stderr %q)", tc.args, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: stderr %q lacks %q", tc.args, stderr.String(), tc.want)
+		}
+	}
+}

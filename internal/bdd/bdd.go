@@ -6,14 +6,10 @@
 // (Figures 7, 9 and 11).
 //
 // The variable order is fixed at construction time; there is no dynamic
-// reordering. Memory is managed with external reference handles plus
-// mark-and-sweep garbage collection: callers Keep the roots that must
-// survive, and a collection (GC, or MaybeGC once the live-node watermark is
-// reached) sweeps every node unreachable from a kept root into a free list
-// whose slots are reused by later allocations. Node identities (Refs) are
-// stable across collections — the sweep never moves live nodes — so holding
-// a kept Ref across a collection is always safe, and hash-consing canonicity
-// (pointer equality of equivalent functions) is preserved.
+// reordering. A manager's node store only grows: every Ref stays valid for
+// the manager's lifetime, and the memory is reclaimed by dropping the whole
+// manager. Callers that generate much garbage run it in a separate scratch
+// manager and copy the results back (CopyFrom).
 package bdd
 
 import "fmt"
@@ -28,11 +24,6 @@ const (
 	True  Ref = 1
 )
 
-// freeLevel marks a node slot that is on the free list. Live terminals use
-// the sentinel level nvars; freed interior nodes get a level no valid node
-// can have so sweeps and rehashes can skip them.
-const freeLevel int32 = -1
-
 type node struct {
 	level    int32 // variable level; terminals use the sentinel level nvars
 	lo, hi   Ref   // cofactors for level-variable = 0 / 1
@@ -44,9 +35,6 @@ type node struct {
 type Manager struct {
 	nvars int32
 	nodes []node
-	freed []uint32 // reusable node slots produced by collections
-	live  int      // allocated minus freed, terminals included
-	peak  int      // high-water mark of live
 
 	buckets []uint32 // unique-table heads, index by hash; 0 = empty
 	mask    uint32
@@ -61,20 +49,13 @@ type Manager struct {
 	cache []cacheEntry
 	cmask uint32 // number of sets minus one
 
-	refs map[Ref]int32 // external reference counts (Keep/Release)
-
-	watermark int // live-node count at which MaybeGC collects; 0 = never
-
 	cacheHits   uint64
 	cacheMisses uint64
 	cacheEvicts uint64 // valid entries overwritten by a different key
-	gcRuns      int
-	gcReclaimed uint64 // nodes reclaimed across all collections
 }
 
 // cacheEntry is one way of the operation cache. Op codes start at 1, so
-// an entry whose op is 0 is an empty way: New and the GC's clear leave
-// every way zeroed.
+// an entry whose op is 0 is an empty way: New leaves every way zeroed.
 type cacheEntry struct {
 	op      uint32
 	a, b, c Ref
@@ -102,7 +83,7 @@ func New(nvars int) *Manager {
 	if nvars < 0 || nvars >= 1<<30 {
 		panic(fmt.Sprintf("bdd: invalid variable count %d", nvars))
 	}
-	m := &Manager{nvars: int32(nvars), live: 2, peak: 2}
+	m := &Manager{nvars: int32(nvars)}
 	m.nodes = make([]node, 2, 1024)
 	m.nodes[False] = node{level: m.nvars}
 	m.nodes[True] = node{level: m.nvars}
@@ -110,202 +91,45 @@ func New(nvars int) *Manager {
 	m.mask = uint32(len(m.buckets) - 1)
 	m.cache = make([]cacheEntry, cacheSize)
 	m.cmask = cacheSize/2 - 1
-	m.refs = make(map[Ref]int32)
 	return m
 }
 
 // NumVars returns the number of boolean variables.
 func (m *Manager) NumVars() int { return int(m.nvars) }
 
-// Size returns the number of node slots in the backing store (including the
-// two terminals and any slots currently on the free list).
+// Size returns the number of nodes in the store, terminals included.
 func (m *Manager) Size() int { return len(m.nodes) }
-
-// Live returns the number of live nodes: allocated slots minus freed ones,
-// terminals included.
-func (m *Manager) Live() int { return m.live }
-
-// notePeak folds Live into the high-water mark. Live only ever drops at a
-// collection, so sampling it at every observation point and at GC entry
-// captures the true maximum without a per-allocation check in mk.
-func (m *Manager) notePeak() {
-	if m.live > m.peak {
-		m.peak = m.live
-	}
-}
-
-// GCRuns returns the number of collections run so far: Stats().GCRuns
-// without building the rest of the snapshot.
-func (m *Manager) GCRuns() int { return m.gcRuns }
 
 func (m *Manager) level(f Ref) int32 { return m.nodes[f].level }
 
 // IsTerminal reports whether f is a constant.
 func (m *Manager) IsTerminal(f Ref) bool { return f <= True }
 
-// --- external references and garbage collection --------------------------
-
-// Keep registers f as an external root: it (and everything reachable from
-// it) survives garbage collections until a matching Release. Keep may be
-// called repeatedly; roots are reference-counted. Terminals are always live.
-// Returns f for chaining.
-func (m *Manager) Keep(f Ref) Ref {
-	if f > True {
-		m.refs[f]++
-	}
-	return f
-}
-
-// Release undoes one Keep. Releasing a Ref that is not currently kept is a
-// bug in the caller's protection discipline and panics.
-func (m *Manager) Release(f Ref) {
-	if f <= True {
-		return
-	}
-	c := m.refs[f]
-	if c <= 0 {
-		panic(fmt.Sprintf("bdd: Release of un-kept ref %d", f))
-	}
-	if c == 1 {
-		delete(m.refs, f)
-	} else {
-		m.refs[f] = c - 1
-	}
-}
-
-// KeptRefs returns the number of distinct externally kept roots.
-func (m *Manager) KeptRefs() int { return len(m.refs) }
-
-// SetGCWatermark sets the live-node count at which MaybeGC actually
-// collects. Zero (the default) disables automatic collection entirely;
-// explicit GC calls still work.
-func (m *Manager) SetGCWatermark(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.watermark = n
-}
-
-// NeedsGC reports whether a MaybeGC call would collect now.
-func (m *Manager) NeedsGC() bool { return m.watermark > 0 && m.live >= m.watermark }
-
-// GCResult summarizes one collection.
-type GCResult struct {
-	Live      int // live nodes after the sweep
-	Reclaimed int // node slots moved to the free list
-}
-
-// MaybeGC runs a collection if the live-node count has reached the
-// watermark; it is the safe-point hook engines call at fixpoint boundaries.
-// The caller must have Kept every Ref it still needs.
-func (m *Manager) MaybeGC() (GCResult, bool) {
-	if !m.NeedsGC() {
-		return GCResult{Live: m.live}, false
-	}
-	return m.GC(), true
-}
-
-// GC runs a mark-and-sweep collection: every node unreachable from a kept
-// root (or terminal) is moved to the free list for reuse by later mk calls.
-// Live nodes keep their Refs; the unique table is rebuilt over the
-// survivors and the operation cache is invalidated (it may reference dead
-// nodes). Canonicity is unaffected: equivalent functions built before and
-// after a collection still share the same Ref.
-func (m *Manager) GC() GCResult {
-	m.notePeak()
-	marked := make([]uint64, (len(m.nodes)+63)/64)
-	var mark func(f Ref)
-	mark = func(f Ref) {
-		// Depth is bounded by the number of levels: child levels strictly
-		// increase, so recursion (with the hi-edge loop) is safe.
-		for f > True {
-			w, b := f>>6, f&63
-			if marked[w]>>b&1 == 1 {
-				return
-			}
-			marked[w] |= 1 << b
-			mark(m.nodes[f].lo)
-			f = m.nodes[f].hi
-		}
-	}
-	for f := range m.refs {
-		mark(f)
-	}
-
-	reclaimed := 0
-	for i := 2; i < len(m.nodes); i++ {
-		n := &m.nodes[i]
-		if n.level == freeLevel {
-			continue
-		}
-		if marked[i>>6]>>(uint(i)&63)&1 == 0 {
-			*n = node{level: freeLevel}
-			m.freed = append(m.freed, uint32(i))
-			reclaimed++
-		}
-	}
-	m.gcRuns++
-	if reclaimed == 0 {
-		// Nothing died: the unique table and cache are still exact.
-		return GCResult{Live: m.live}
-	}
-	m.live -= reclaimed
-	m.gcReclaimed += uint64(reclaimed)
-
-	// Rebuild the unique table over the survivors.
-	clear(m.buckets)
-	for i := 2; i < len(m.nodes); i++ {
-		n := &m.nodes[i]
-		if n.level == freeLevel {
-			continue
-		}
-		h := hash3(uint32(n.level), uint32(n.lo), uint32(n.hi)) & m.mask
-		n.nextHash = m.buckets[h]
-		m.buckets[h] = uint32(i)
-	}
-	// The cache may hold results rooted at reclaimed nodes; drop it.
-	clear(m.cache)
-	return GCResult{Live: m.live, Reclaimed: reclaimed}
-}
-
 // Stats is a point-in-time snapshot of the manager's memory and cache
 // behavior — the substrate metrics the service and benches export.
 type Stats struct {
 	NumVars         int
-	LiveNodes       int     // allocated minus freed, terminals included
-	PeakLiveNodes   int     // high-water mark of LiveNodes
-	AllocatedSlots  int     // node slots in the backing store
-	FreeSlots       int     // reclaimed slots awaiting reuse
-	KeptRefs        int     // distinct external roots
+	LiveNodes       int     // nodes in the store, terminals included
 	UniqueTableSize int     // bucket count
-	UniqueTableLoad float64 // live nodes per bucket
+	UniqueTableLoad float64 // nodes per bucket
 	CacheSize       int     // operation-cache entries (both ways)
 	CacheHits       uint64
 	CacheMisses     uint64
 	CacheEvictions  uint64  // valid entries overwritten by a different key
 	CacheHitRate    float64 // hits / lookups; 0 when no lookups yet
-	GCRuns          int
-	GCReclaimed     uint64 // nodes reclaimed across all collections
 }
 
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats {
-	m.notePeak()
 	s := Stats{
 		NumVars:         int(m.nvars),
-		LiveNodes:       m.live,
-		PeakLiveNodes:   m.peak,
-		AllocatedSlots:  len(m.nodes),
-		FreeSlots:       len(m.freed),
-		KeptRefs:        len(m.refs),
+		LiveNodes:       len(m.nodes),
 		UniqueTableSize: len(m.buckets),
-		UniqueTableLoad: float64(m.live) / float64(len(m.buckets)),
+		UniqueTableLoad: float64(len(m.nodes)) / float64(len(m.buckets)),
 		CacheSize:       len(m.cache),
 		CacheHits:       m.cacheHits,
 		CacheMisses:     m.cacheMisses,
 		CacheEvictions:  m.cacheEvicts,
-		GCRuns:          m.gcRuns,
-		GCReclaimed:     m.gcReclaimed,
 	}
 	if lookups := m.cacheHits + m.cacheMisses; lookups > 0 {
 		s.CacheHitRate = float64(m.cacheHits) / float64(lookups)
@@ -324,7 +148,7 @@ func hash3(a, b, c uint32) uint32 {
 }
 
 // mk returns the canonical node (level, lo, hi), applying the reduction rule
-// and hash-consing. Freed slots are reused before the store grows.
+// and hash-consing.
 func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
@@ -336,33 +160,22 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 			return Ref(i)
 		}
 	}
-	var idx uint32
-	if n := len(m.freed); n > 0 {
-		idx = m.freed[n-1]
-		m.freed = m.freed[:n-1]
-		m.nodes[idx] = node{level: level, lo: lo, hi: hi, nextHash: m.buckets[h]}
-	} else {
-		idx = uint32(len(m.nodes))
-		m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi, nextHash: m.buckets[h]})
-	}
+	idx := uint32(len(m.nodes))
+	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi, nextHash: m.buckets[h]})
 	m.buckets[h] = idx
-	m.live++
 	if len(m.nodes) > len(m.buckets)*2 { // keep chains short
 		m.rehash()
 	}
 	return Ref(idx)
 }
 
-// rehash doubles the unique table and re-chains every live node. Refs are
+// rehash doubles the unique table and re-chains every node. Refs are
 // untouched, so canonicity is preserved.
 func (m *Manager) rehash() {
 	m.buckets = make([]uint32, len(m.buckets)*2)
 	m.mask = uint32(len(m.buckets) - 1)
 	for i := 2; i < len(m.nodes); i++ {
 		n := &m.nodes[i]
-		if n.level == freeLevel {
-			continue
-		}
 		h := hash3(uint32(n.level), uint32(n.lo), uint32(n.hi)) & m.mask
 		n.nextHash = m.buckets[h]
 		m.buckets[h] = uint32(i)

@@ -21,25 +21,37 @@ import (
 const Names = "tokenring, dijkstra, dijkstra3, matching, gouda-acharya, coloring, tworing"
 
 // BuildSpec resolves a built-in protocol name with parameters k and dom.
+// It is the one home of the built-ins' parameter ranges: parameters out of
+// range are an error here, before the constructor (which panics on them)
+// runs. A zero minimum marks a parameter the built-in does not take.
 func BuildSpec(name string, k, dom int) (*protocol.Spec, error) {
+	var build func() *protocol.Spec
+	var minK, minDom int
 	switch strings.ToLower(name) {
 	case "tokenring", "tr":
-		return protocols.TokenRing(k, dom), nil
+		build, minK, minDom = func() *protocol.Spec { return protocols.TokenRing(k, dom) }, 2, 2
 	case "dijkstra":
-		return protocols.DijkstraTokenRing(k, dom), nil
+		build, minK, minDom = func() *protocol.Spec { return protocols.DijkstraTokenRing(k, dom) }, 2, 2
 	case "dijkstra3", "threestate":
-		return protocols.DijkstraThreeState(k), nil
+		build, minK = func() *protocol.Spec { return protocols.DijkstraThreeState(k) }, 3
 	case "matching", "mm":
-		return protocols.Matching(k), nil
+		build, minK = func() *protocol.Spec { return protocols.Matching(k) }, 3
 	case "gouda-acharya", "ga":
-		return protocols.GoudaAcharyaMatching(k), nil
+		build, minK = func() *protocol.Spec { return protocols.GoudaAcharyaMatching(k) }, 3
 	case "coloring", "tc":
-		return protocols.Coloring(k), nil
+		build, minK = func() *protocol.Spec { return protocols.Coloring(k) }, 3
 	case "tworing", "tr2":
-		return protocols.TwoRingTokenRing(), nil
+		build = protocols.TwoRingTokenRing
 	default:
 		return nil, fmt.Errorf("unknown protocol %q (built-ins: %s)", name, Names)
 	}
+	if minK > 0 && k < minK {
+		return nil, fmt.Errorf("protocol %q requires k ≥ %d, got %d", name, minK, k)
+	}
+	if minDom > 0 && dom < minDom {
+		return nil, fmt.Errorf("protocol %q requires dom ≥ %d, got %d", name, minDom, dom)
+	}
+	return build(), nil
 }
 
 // LoadSpec loads the protocol a tool's -p and -spec flags name: the

@@ -69,9 +69,6 @@ func checkAttribution(t *testing.T, sp *protocol.Spec, seed int64) (hits int) {
 			subsets = append(subsets, sub)
 		}
 		notI := e.Not(e.Invariant())
-		if reg, ok := e.(core.RefRegistry); ok {
-			notI = reg.Retain(notI)
-		}
 		for si, sub := range subsets {
 			var added []core.Group
 			for _, g := range sub {

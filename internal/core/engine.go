@@ -123,8 +123,8 @@ type Engine interface {
 // caller owns (obtained from Dup or from an allocating operation like Or,
 // Diff, Pre or EnabledSources); Sets handed out by the engine itself
 // (Universe, Invariant, GroupSrc caches) are shared and must never be
-// passed as a destination. Engines with hash-consed or refcounted sets
-// (the symbolic engine) simply do not implement the interface.
+// passed as a destination. Engines with hash-consed sets (the symbolic
+// engine) simply do not implement the interface.
 type MutableSets interface {
 	// Dup returns a caller-owned mutable copy of a.
 	Dup(a Set) Set
@@ -152,36 +152,10 @@ func PairwiseSCCGroups(e Engine, gs []Group, sccs []Set) [][]int {
 	return out
 }
 
-// Compactor is an optional Engine capability: reclaim representation
-// memory at a safe point. live lists every Set the caller still needs; the
-// result holds the migrated equivalents (order preserved). All other Sets
-// previously handed out become invalid — unless they are additionally
-// protected via RefRegistry. AddConvergence calls this (when implemented)
-// at rank-loop boundaries.
-type Compactor interface {
-	Compact(live []Set) []Set
-}
-
-// RefRegistry is an optional Engine capability: register a Set as a
-// long-lived root so it survives the engine's internal memory reclamation
-// (garbage collection at SCC-fixpoint and Compact safe points). Retain and
-// Release nest: a Set retained n times needs n releases. Sets that are
-// never retained remain valid only until the engine's next reclamation
-// point (any CyclicSCCs or Compact call). AddConvergence retains every Set
-// it holds across such calls; callers driving an engine directly should do
-// the same.
-type RefRegistry interface {
-	// Retain registers a as a reclamation root and returns it (engines with
-	// stable Set identities return a unchanged).
-	Retain(a Set) Set
-	// Release undoes one Retain.
-	Release(a Set)
-}
-
 // SpaceStats is a point-in-time snapshot of an engine's representation
 // memory — for the symbolic engine, the BDD substrate's node store, unique
-// table, operation cache and garbage collector. Engines without a notion
-// of shared storage (the explicit engine) simply do not implement
+// table, operation cache and scratch-manager reclamation. Engines without
+// a notion of shared storage (the explicit engine) simply do not implement
 // SpaceReporter.
 type SpaceStats struct {
 	LiveNodes       int     `json:"live_nodes"`
@@ -193,8 +167,8 @@ type SpaceStats struct {
 	CacheMisses     uint64  `json:"cache_misses"`
 	CacheEvictions  uint64  `json:"cache_evictions"`
 	CacheHitRate    float64 `json:"cache_hit_rate"`
-	GCRuns          int     `json:"gc_runs"`
-	GCReclaimed     uint64  `json:"gc_reclaimed"`
+	GCRuns          int     `json:"gc_runs"`      // wholesale collections: scratch managers dropped
+	GCReclaimed     uint64  `json:"gc_reclaimed"` // nodes released by those drops
 }
 
 // SpaceReporter is an optional Engine capability: report substrate memory

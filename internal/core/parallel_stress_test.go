@@ -96,18 +96,10 @@ func TestTrySchedulesStress(t *testing.T) {
 }
 
 // TestTrySchedulesStressSymbolic runs a shorter cancellation stress on the
-// symbolic engine with collection forced at every safe point, so the GC
-// safe-point discipline is also exercised concurrently (one manager per
-// goroutine — managers are not shared).
+// symbolic engine (one manager per goroutine — managers are not shared).
 func TestTrySchedulesStressSymbolic(t *testing.T) {
 	sp := protocols.TokenRing(3, 3)
-	factory := func() (core.Engine, error) {
-		e, err := symbolic.New(sp)
-		if err == nil {
-			e.SetCompactionThreshold(1)
-		}
-		return e, err
-	}
+	factory := func() (core.Engine, error) { return symbolic.New(sp) }
 	schedules := core.AllSchedules(len(sp.Procs)) // 6 attempts
 	for round := 0; round < 8; round++ {
 		ctx, cancel := context.WithCancel(context.Background())

@@ -121,7 +121,6 @@ type synthesizer struct {
 	//lint:ignore ctxflow run-scoped carrier: set once from Options.Ctx at AddConvergence entry and dropped with the run
 	ctx      context.Context
 	e        Engine
-	reg      RefRegistry // non-nil when the engine garbage-collects
 	I        Set
 	notI     Set
 	sched    []int
@@ -154,52 +153,6 @@ type synthesizer struct {
 	// left pss untouched. Valid while pss is unchanged — accept() clears it
 	// — and replayed as "skip the whole batch". nil when fast-fail is off.
 	futile map[string]struct{}
-
-	held []Set // retained roots released when synthesis ends
-}
-
-// retain registers x as a reclamation root for the duration of the run (a
-// no-op for engines without a RefRegistry). Every Set the synthesizer holds
-// across a CyclicSCCs or Compact call must be retained, or the engine's
-// garbage collector may reclaim it mid-run.
-func (s *synthesizer) retain(x Set) Set {
-	if s.reg != nil {
-		s.held = append(s.held, s.reg.Retain(x))
-	}
-	return x
-}
-
-// swap rebinds *dst to v with correct root accounting: v is retained before
-// the old value is released, so v stays protected even when it shares
-// structure with (or equals) the old value.
-func (s *synthesizer) swap(dst *Set, v Set) {
-	if s.reg == nil {
-		*dst = v
-		return
-	}
-	kept := s.reg.Retain(v)
-	if *dst != nil {
-		s.reg.Release(*dst)
-	}
-	*dst = kept
-}
-
-// releaseAll drops every root the run retained, so repeated synthesis on a
-// reused engine does not pin garbage forever.
-func (s *synthesizer) releaseAll() {
-	if s.reg == nil {
-		return
-	}
-	for _, x := range s.held {
-		s.reg.Release(x)
-	}
-	s.held = nil
-	for _, dst := range []*Set{&s.enabled, &s.deadlocks} {
-		if *dst != nil {
-			s.reg.Release(*dst)
-			*dst = nil
-		}
-	}
 }
 
 // AddConvergence runs the paper's algorithm: preprocessing (cycle check and
@@ -246,14 +199,12 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 		inPss:    make(map[protocol.Key]bool),
 		logf:     opts.Log,
 	}
-	s.reg, _ = e.(RefRegistry)
 	if fastFail {
 		s.doomed = make(map[protocol.Key]bool)
 		s.futile = make(map[string]struct{})
 	}
-	defer s.releaseAll()
-	s.I = s.retain(e.Invariant())
-	s.notI = s.retain(e.Not(e.Invariant()))
+	s.I = e.Invariant()
+	s.notI = e.Not(e.Invariant())
 	if s.logf == nil {
 		s.logf = func(string, ...interface{}) {}
 	}
@@ -294,9 +245,6 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 	if err != nil {
 		return res, err
 	}
-	for _, r := range ranks {
-		s.retain(r)
-	}
 	if !e.IsEmpty(infinite) {
 		st, _ := e.PickState(infinite)
 		return res, fmt.Errorf("%w: e.g. state %v", ErrNoStabilizingVersion, st)
@@ -308,8 +256,8 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 		return res, nil
 	}
 
-	s.swap(&s.enabled, e.EnabledSources(s.pss))
-	s.swap(&s.deadlocks, e.Diff(s.notI, s.enabled))
+	s.enabled = e.EnabledSources(s.pss)
+	s.deadlocks = e.Diff(s.notI, s.enabled)
 	if e.IsEmpty(s.deadlocks) {
 		// p is already strongly converging after cycle preprocessing.
 		s.finish(res, s.pss)
@@ -321,10 +269,7 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
-			s.maybeCompact(ranks)
-			// from is held across the recovery batches (each containing SCC
-			// reclamation points) inside addConvergence.
-			from := s.retain(e.And(ranks[i], s.deadlocks))
+			from := e.And(ranks[i], s.deadlocks)
 			if e.IsEmpty(from) {
 				continue
 			}
@@ -339,10 +284,8 @@ func addConvergence(e Engine, opts Options, fastFail bool) (*Result, error) {
 		}
 	}
 	// Pass 3: from any remaining deadlock to anywhere (constraint C2
-	// relaxed). The from set is retained separately: s.deadlocks is rebound
-	// (and its old value released) after every process inside.
-	s.maybeCompact(ranks)
-	if s.addConvergence(s.retain(s.deadlocks), e.Universe(), 3) {
+	// relaxed).
+	if s.addConvergence(s.deadlocks, e.Universe(), 3) {
 		res.PassCompleted = 3
 		s.finish(res, s.pss)
 		return res, nil
@@ -402,7 +345,7 @@ func (s *synthesizer) addConvergence(from, to Set, pass int) bool {
 			return false
 		}
 		s.addRecovery(proc, from, to, pass)
-		s.swap(&s.deadlocks, s.e.Diff(s.notI, s.enabled))
+		s.deadlocks = s.e.Diff(s.notI, s.enabled)
 		if s.e.IsEmpty(s.deadlocks) {
 			return true
 		}
@@ -507,20 +450,6 @@ func (s *synthesizer) addRecovery(proc int, from, to Set, pass int) {
 		pass, proc, len(added), len(added)-kept-recovered, kept+recovered, recovered)
 }
 
-// maybeCompact lets a Compactor engine reclaim memory at a safe point,
-// rebinding every live Set the synthesizer still holds.
-func (s *synthesizer) maybeCompact(ranks []Set) {
-	c, ok := s.e.(Compactor)
-	if !ok {
-		return
-	}
-	live := []Set{s.I, s.notI, s.enabled, s.deadlocks}
-	live = append(live, ranks...)
-	out := c.Compact(live)
-	s.I, s.notI, s.enabled, s.deadlocks = out[0], out[1], out[2], out[3]
-	copy(ranks, out[4:])
-}
-
 // accept adds a recovery group to pss. On a MutableSets engine the enabled
 // set (a private copy built by EnabledSources) grows in place, instead of
 // cloning the group's source set and the union per accepted group.
@@ -531,11 +460,11 @@ func (s *synthesizer) accept(g Group) {
 	}
 	s.pss = append(s.pss, g)
 	s.inPss[g.Key()] = true
-	if ms, ok := s.e.(MutableSets); ok && s.reg == nil {
+	if ms, ok := s.e.(MutableSets); ok {
 		ms.OrSrcInto(s.enabled, g)
 		return
 	}
-	s.swap(&s.enabled, s.e.Or(s.enabled, s.e.GroupSrc(g)))
+	s.enabled = s.e.Or(s.enabled, s.e.GroupSrc(g))
 }
 
 // identifyResolveCycles is the paper's Identify_Resolve_Cycles: find the

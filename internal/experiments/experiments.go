@@ -34,7 +34,7 @@ type Row struct {
 
 	// Substrate observability (zero when the engine has no SpaceReporter).
 	PeakNodes    int     // peak live BDD nodes over the run
-	GCRuns       int     // garbage collections during the run
+	GCRuns       int     // scratch-manager drops during the run
 	CacheHitRate float64 // op-cache hit rate
 }
 

@@ -6,7 +6,7 @@ import (
 
 // This file is the framework's intra-procedural flow layer: a lightweight
 // control-flow graph over go/ast plus the reachability queries the
-// flow-sensitive analyzers (bddref, goroleak, locksafe) share. It models
+// flow-sensitive analyzers (goroleak, locksafe) share. It models
 // statement-level control flow only — short-circuit evaluation inside
 // expressions is invisible, which is exactly the granularity the fact
 // lattices of this package need. Function literals are boundaries: a
@@ -360,19 +360,12 @@ func isPanicOrFatal(e ast.Expr) bool {
 
 // --- reachability queries -------------------------------------------------
 
-// exitReachableAvoiding reports whether g.exit can be reached from `from`
-// (starting at statement index fromIdx within it) without executing a
-// statement for which barrier returns true. Deferred statements are
-// checked at the exit: if any DeferStmt in the function satisfies barrier,
-// the exit itself is barred. This is the shared query behind "is there a
-// path on which this kept ref is never consumed" (bddref) and "is there an
-// exit path without a completion signal" (goroleak).
-func (g *funcCFG) exitReachableAvoiding(from *cfgBlock, fromIdx int, barrier func(ast.Stmt) bool) bool {
-	for _, d := range g.defers {
-		if barrier(d) {
-			return false
-		}
-	}
+// exitReachableAvoiding reports whether g.exit can be reached from the
+// entry without executing a statement for which barrier returns true. A
+// DeferStmt counts where it is executed, not at the exit: goroleak checks
+// the deferred signals itself before asking for a path. This is the query
+// behind "is there an exit path without a completion signal" (goroleak).
+func (g *funcCFG) exitReachableAvoiding(barrier func(ast.Stmt) bool) bool {
 	seen := make(map[*cfgBlock]bool)
 	var walk func(b *cfgBlock, start int) bool
 	walk = func(b *cfgBlock, start int) bool {
@@ -395,7 +388,7 @@ func (g *funcCFG) exitReachableAvoiding(from *cfgBlock, fromIdx int, barrier fun
 		}
 		return false
 	}
-	return walk(from, fromIdx)
+	return walk(g.entry, 0)
 }
 
 // shallowInspect walks the expressions of one CFG statement without

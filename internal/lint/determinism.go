@@ -98,3 +98,12 @@ func checkMapRangeAppend(p *Pass, rng *ast.RangeStmt) {
 		return true
 	})
 }
+
+func isBuiltinAppend(p *Pass, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != "append" {
+		return false
+	}
+	_, isBuiltin := p.Info.Uses[id].(*types.Builtin)
+	return isBuiltin
+}

@@ -126,7 +126,7 @@ func (g *goroleakPass) checkGo(gs *ast.GoStmt) {
 	}
 	cfg := buildCFG(body)
 	noBarrier := func(ast.Stmt) bool { return false }
-	if !cfg.exitReachableAvoiding(cfg.entry, 0, noBarrier) {
+	if !cfg.exitReachableAvoiding(noBarrier) {
 		// The body has no exit at all, so no completion signal — deferred
 		// or otherwise — can ever run.
 		g.Reportf(gs.Pos(), "goroutine body never terminates: no exit path exists, so it cannot be joined")
@@ -148,7 +148,7 @@ func (g *goroleakPass) checkGo(gs *ast.GoStmt) {
 		}
 	}
 	pathSignal := func(s ast.Stmt) bool { return g.signalsIn(s, note) }
-	if !deferredSignal && cfg.exitReachableAvoiding(cfg.entry, 0, pathSignal) {
+	if !deferredSignal && cfg.exitReachableAvoiding(pathSignal) {
 		g.Reportf(gs.Pos(), "goroutine has an exit path without a completion signal (WaitGroup Done, close, or channel send): it cannot be joined deterministically")
 		return
 	}

@@ -1,9 +1,9 @@
 // Package lint is a stdlib-only static-analysis framework for this
 // repository, plus the project-specific analyzers that mechanize the
-// invariants the codebase rests on: the BDD substrate's Keep/Release
-// protection discipline, byte-reproducibility of the synthesis core,
-// context propagation through the engine loops, the dependency-direction
-// rules, and panic-freedom of the request-handling tiers.
+// invariants the codebase rests on: byte-reproducibility of the synthesis
+// core, context propagation through the engine loops, the
+// dependency-direction rules, goroutine joins and lock discipline, and
+// panic-freedom of the request-handling tiers.
 //
 // The framework deliberately uses nothing beyond go/parser, go/ast and
 // go/types (go.mod stays dependency-free). Each analyzer runs as one
@@ -57,7 +57,7 @@ type Analyzer struct {
 }
 
 // All lists every analyzer stsyn-vet runs, in reporting order.
-var All = []*Analyzer{APIStab, ArchDeps, BDDRef, CtxFlow, Determinism, GoroLeak, LockSafe, MetricNames, PanicSafe}
+var All = []*Analyzer{APIStab, ArchDeps, CtxFlow, Determinism, GoroLeak, LockSafe, MetricNames, PanicSafe}
 
 // Pass carries one analyzer's view of one package.
 type Pass struct {

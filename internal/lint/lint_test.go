@@ -37,10 +37,6 @@ func TestFixtures(t *testing.T) {
 		analyzer  *Analyzer
 		needTypes bool
 	}{
-		{"bddref_bad", "stsyn/internal/fixture/bddref", BDDRef, true},
-		{"bddref_ok", "stsyn/internal/fixture/bddref", BDDRef, true},
-		{"bddref_flow_bad", "stsyn/internal/fixture/bddref", BDDRef, true},
-		{"bddref_flow_ok", "stsyn/internal/fixture/bddref", BDDRef, true},
 		{"determinism_bad", "stsyn/internal/core", Determinism, true},
 		{"determinism_ok", "stsyn/internal/core", Determinism, true},
 		{"ctxflow_bad", "stsyn/internal/fixture/ctxflow", CtxFlow, true},

@@ -104,9 +104,9 @@ func BuildSpec(req *Request) (*protocol.Spec, error) {
 		if dom == 0 {
 			dom = 3
 		}
-		sp, err := buildBuiltin(req.Protocol, k, dom)
+		sp, err := cli.BuildSpec(req.Protocol, k, dom)
 		if err != nil {
-			return nil, stsynerr.Wrap(stsynerr.InvalidSpec, "unknown protocol", err)
+			return nil, stsynerr.Wrap(stsynerr.InvalidSpec, "built-in protocol", err)
 		}
 		return sp, nil
 	case req.Spec != "":
@@ -118,18 +118,6 @@ func BuildSpec(req *Request) (*protocol.Spec, error) {
 	default:
 		return nil, fmt.Errorf("need protocol (built-in name) or spec (inline .stsyn source)")
 	}
-}
-
-// buildBuiltin calls the CLI's built-in constructor, converting the
-// panics its protocol constructors use for parameter validation (fine for
-// the CLI, fatal for a serving goroutine) into ordinary errors.
-func buildBuiltin(name string, k, dom int) (sp *protocol.Spec, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			sp, err = nil, fmt.Errorf("%v", r)
-		}
-	}()
-	return cli.BuildSpec(name, k, dom)
 }
 
 // Job is a fully normalized synthesis job: the specification, resolved

@@ -1,13 +1,16 @@
 package service
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"stsyn/internal/cli"
 	"stsyn/internal/core"
 	"stsyn/internal/explicit"
 	"stsyn/internal/gcl"
 	"stsyn/internal/protocols"
+	"stsyn/pkg/stsynerr"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
@@ -125,6 +128,52 @@ func TestBuildSpecValidation(t *testing.T) {
 			t.Errorf("BuildSpec(%+v) succeeded, want error", req)
 		}
 	}
+}
+
+// TestBuildSpecParameterGrid drives every built-in through the service's
+// BuildSpec over k and dom from -1 to 3: parameters in range build a valid
+// spec, and parameters out of range answer a typed InvalidSpec instead of
+// panicking in the protocol constructor. Zero parameters take the
+// request defaults (k 4, dom 3).
+func TestBuildSpecParameterGrid(t *testing.T) {
+	minK := map[string]int{"tokenring": 2, "dijkstra": 2, "dijkstra3": 3, "matching": 3, "gouda-acharya": 3, "coloring": 3}
+	minDom := map[string]int{"tokenring": 2, "dijkstra": 2}
+	for _, name := range strings.Split(cli.Names, ", ") {
+		for k := -1; k <= 3; k++ {
+			for dom := -1; dom <= 3; dom++ {
+				effK, effDom := k, dom
+				if effK == 0 {
+					effK = 4
+				}
+				if effDom == 0 {
+					effDom = 3
+				}
+				valid := inRange(minK, name, effK) && inRange(minDom, name, effDom)
+				sp, err := BuildSpec(&Request{Protocol: name, K: k, Dom: dom})
+				if !valid {
+					var se *stsynerr.Error
+					if !errors.As(err, &se) || se.Name != stsynerr.InvalidSpec {
+						t.Errorf("%s k=%d dom=%d: got %v, want a typed InvalidSpec", name, k, dom, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s k=%d dom=%d: %v", name, k, dom, err)
+					continue
+				}
+				if err := sp.Validate(); err != nil {
+					t.Errorf("%s k=%d dom=%d: invalid spec: %v", name, k, dom, err)
+				}
+			}
+		}
+	}
+}
+
+// inRange reports whether v meets name's minimum in min; a built-in
+// missing from min does not take that parameter.
+func inRange(min map[string]int, name string, v int) bool {
+	m, takes := min[name]
+	return !takes || v >= m
 }
 
 // EncodeResult output must agree with what the synthesizer reported and

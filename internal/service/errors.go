@@ -31,21 +31,21 @@ func asServiceError(err error, name stsynerr.Name, msg string) *Error {
 // writeError maps a service error to its HTTP status and the one JSON
 // error envelope of the contract, stamping the request's correlation ID
 // (already echoed on the response header by the request-ID middleware).
-// Retry advice becomes the Retry-After header on 503 and 429 responses.
+// Every 503 and 429 response carries retry advice, 1 s unless the error
+// names another, both as the Retry-After header and in the envelope.
 func writeError(w http.ResponseWriter, err error) {
 	var se *Error
 	if !errors.As(err, &se) {
 		se = stsynerr.Wrap(stsynerr.Internal, "internal error", err)
 	}
 	status := se.HTTPStatus()
-	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
-		secs := se.RetryAfter
-		if secs <= 0 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
 	env := se.Envelope()
+	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
+		if env.RetryAfterSeconds <= 0 {
+			env.RetryAfterSeconds = 1
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(env.RetryAfterSeconds))
+	}
 	if env.RequestID == "" {
 		env.RequestID = w.Header().Get(RequestIDHeader)
 	}

@@ -40,8 +40,8 @@ type Metrics struct {
 	// BDD substrate observability, aggregated across symbolic-engine jobs
 	// (each job has its own manager, so counters are summed at job end and
 	// the node gauges track the most recent / largest job).
-	BDDGCRuns         atomic.Int64 // cumulative collections
-	BDDGCReclaimed    atomic.Int64 // cumulative nodes reclaimed
+	BDDGCRuns         atomic.Int64 // cumulative scratch-manager drops
+	BDDGCReclaimed    atomic.Int64 // cumulative nodes those drops released
 	BDDCacheHits      atomic.Int64 // cumulative op-cache hits
 	BDDCacheMisses    atomic.Int64 // cumulative op-cache misses
 	BDDCacheEvictions atomic.Int64 // cumulative op-cache evictions
@@ -176,8 +176,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges map[string]float64) {
 	counter("stsyn_batch_deduped_total", "Batch items deduplicated within their batch.", m.BatchDeduped.Load())
 	counter("stsyn_batch_cache_hits_total", "Unique batch items served from the result cache.", m.BatchCacheHits.Load())
 	counter("stsyn_admission_rejected_total", "Requests rejected by per-tenant token-bucket admission.", m.AdmissionRejected.Load())
-	counter("stsyn_bdd_gc_runs_total", "BDD garbage collections across symbolic jobs.", m.BDDGCRuns.Load())
-	counter("stsyn_bdd_gc_reclaimed_nodes_total", "BDD nodes reclaimed by garbage collection.", m.BDDGCReclaimed.Load())
+	counter("stsyn_bdd_gc_runs_total", "BDD scratch managers dropped across symbolic jobs.", m.BDDGCRuns.Load())
+	counter("stsyn_bdd_gc_reclaimed_nodes_total", "BDD nodes released by dropping scratch managers.", m.BDDGCReclaimed.Load())
 	counter("stsyn_bdd_op_cache_hits_total", "BDD operation-cache hits across symbolic jobs.", m.BDDCacheHits.Load())
 	counter("stsyn_bdd_op_cache_misses_total", "BDD operation-cache misses across symbolic jobs.", m.BDDCacheMisses.Load())
 	counter("stsyn_bdd_op_cache_evictions_total", "BDD operation-cache evictions across symbolic jobs.", m.BDDCacheEvictions.Load())

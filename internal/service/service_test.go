@@ -15,6 +15,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"stsyn/pkg/stsynerr"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -416,6 +418,35 @@ func TestShutdownRefusesNewJobs(t *testing.T) {
 	// Idempotent.
 	if err := svc.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A request after Shutdown gets a ShuttingDown 503 whose two forms of
+// retry advice agree: the Retry-After header and the envelope's
+// retry_after_seconds carry the same value.
+func TestShutdownRetryAdviceAgrees(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/synthesize", "application/json",
+		strings.NewReader(`{"protocol":"tokenring"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env stsynerr.Envelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || env.Name != stsynerr.ShuttingDown {
+		t.Fatalf("status %d, error %q: want a ShuttingDown 503", resp.StatusCode, env.Name)
+	}
+	header := resp.Header.Get("Retry-After")
+	if header == "" || header != fmt.Sprint(env.RetryAfterSeconds) {
+		t.Fatalf("Retry-After header %q, envelope retry_after_seconds %d", header, env.RetryAfterSeconds)
 	}
 }
 

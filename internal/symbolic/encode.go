@@ -143,9 +143,7 @@ func newCompiler(l *layout, m *bdd.Manager) *compiler {
 	for id, v := range l.sp.Vars {
 		c.eqc[id] = make([]bdd.Ref, v.Dom)
 		for val := 0; val < v.Dom; val++ {
-			// Kept at the store site: the value cubes are permanent
-			// collection roots for the engine's lifetime.
-			c.eqc[id][val] = m.Keep(m.LiteralCube(l.valueLits(id, val, false)))
+			c.eqc[id][val] = m.LiteralCube(l.valueLits(id, val, false))
 		}
 	}
 	return c

@@ -42,29 +42,22 @@ type Engine struct {
 	candidates []core.Group
 	byKey      map[protocol.Key]*group
 
-	// sccs are the components handed out by the last CyclicSCCs call, kept
-	// as collection roots until the next call invalidates them.
-	sccs []bdd.Ref
-
 	// scratch accumulates the counters of dropped cycle-detection scratch
 	// managers so SpaceStats covers the engine's full substrate activity.
 	scratch struct {
 		hits, misses, evicts, dropped uint64
-		peak                          int
+		drops, peak                   int
 	}
 
 	// sccScratch is the scratch manager retained across CyclicSCCs calls:
 	// its operation cache stays warm and its persistent→scratch copy memo
 	// makes re-migrating the group cubes and the (usually unchanged)
-	// `within` set near-free. The memo is flushed when the persistent
-	// manager collects (Ref reuse would poison it); the manager itself is
-	// dropped and rebuilt when the scratch store outgrows its watermark.
-	// nil until first use.
+	// `within` set near-free. Persistent refs are never reused, so the memo
+	// stays valid until the manager is dropped and rebuilt, when the
+	// scratch store outgrows its watermark. nil until first use.
 	sccScratch *scratchMgr
 
 	nextBits float64 // number of next-state bit levels (for state counting)
-
-	compactAt int // node threshold for Compact (0 = default)
 
 	ctx context.Context // current synthesis context (nil = no cancellation)
 
@@ -80,17 +73,14 @@ func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 func (e *Engine) canceled() bool { return e.ctx != nil && e.ctx.Err() != nil }
 
 var _ core.Engine = (*Engine)(nil)
-var _ core.RefRegistry = (*Engine)(nil)
 var _ core.SpaceReporter = (*Engine)(nil)
 
 // New builds a symbolic engine for sp.
 //
-// Every BDD the engine itself holds beyond one call — the valid-state and
-// invariant predicates, the compiler's value cubes, and each group's cubes —
-// is registered as a garbage-collection root with Keep at its store site;
-// everything else is fair game for the manager's mark-and-sweep collector,
-// which runs at the safe points inside CyclicSCCs and Compact once the
-// live-node watermark (SetCompactionThreshold) is reached.
+// The engine's persistent node store only grows: every Set it hands out
+// stays valid for as long as the engine exists. The fixpoint garbage of
+// cycle detection and the image probes lives on a scratch manager that is
+// dropped wholesale, so callers build one engine per synthesis.
 func New(sp *protocol.Spec) (*Engine, error) {
 	return NewWithOrder(sp, DefaultVarOrder(sp))
 }
@@ -111,11 +101,11 @@ func NewWithOrder(sp *protocol.Spec, order []int) (*Engine, error) {
 	cmp := newCompiler(l, m)
 	e := &Engine{
 		sp: sp, l: l, m: m, cmp: cmp,
-		valid:    m.Keep(cmp.valid()),
+		valid:    cmp.valid(),
 		byKey:    make(map[protocol.Key]*group),
 		nextBits: float64(l.total),
 	}
-	e.inv = m.Keep(m.And(cmp.boolExpr(sp.Invariant), e.valid))
+	e.inv = m.And(cmp.boolExpr(sp.Invariant), e.valid)
 	for pi := range sp.Procs {
 		for _, pg := range sp.ActionGroups(pi) {
 			e.actions = append(e.actions, e.intern(pg))
@@ -124,7 +114,6 @@ func NewWithOrder(sp *protocol.Spec, order []int) (*Engine, error) {
 			e.candidates = append(e.candidates, e.intern(pg))
 		}
 	}
-	m.SetGCWatermark(DefaultCompactionThreshold)
 	return e, nil
 }
 
@@ -151,9 +140,9 @@ func (e *Engine) intern(pg protocol.Group) *group {
 	g := &group{
 		pg:        pg,
 		key:       key,
-		src:       e.m.Keep(e.m.And(e.m.LiteralCube(readLits), e.valid)),
-		writeCube: e.m.Keep(e.m.LiteralCube(writeLits)),
-		writeVars: e.m.Keep(e.m.Cube(writeVarLevels)),
+		src:       e.m.And(e.m.LiteralCube(readLits), e.valid),
+		writeCube: e.m.LiteralCube(writeLits),
+		writeVars: e.m.Cube(writeVarLevels),
 	}
 	e.byKey[key] = g
 	return g
@@ -311,28 +300,18 @@ func (e *Engine) relation(g *group) bdd.Ref {
 			rel = e.m.And(rel, e.m.Not(e.m.Xor(cur, nxt)))
 		}
 	}
-	g.rel = e.m.Keep(e.m.And(rel, e.valid))
+	g.rel = e.m.And(rel, e.valid)
 	return g.rel
 }
 
 func (e *Engine) Stats() *core.Stats { return &e.stats }
 
-// Retain implements core.RefRegistry: the set becomes a garbage-collection
-// root until a matching Release. Set identities are stable across
-// collections, so the same value is returned.
-func (e *Engine) Retain(a core.Set) core.Set {
-	return e.m.Keep(a.(bdd.Ref))
-}
-
-// Release implements core.RefRegistry.
-func (e *Engine) Release(a core.Set) { e.m.Release(a.(bdd.Ref)) }
-
 // SpaceStats implements core.SpaceReporter. Node-store occupancy figures
 // (live, allocated, table load) describe the persistent manager; the cache
 // counters include the scratch managers used for cycle detection; peak is
-// the largest live-node count any manager reached; GCReclaimed counts
-// mark-and-sweep reclamation on the persistent store plus nodes dropped
-// wholesale with scratch managers.
+// the largest node count any manager reached. A dropped scratch manager is
+// the engine's one collection: GCRuns counts the drops and GCReclaimed the
+// nodes they released.
 func (e *Engine) SpaceStats() core.SpaceStats {
 	st := e.m.Stats()
 	hits := st.CacheHits + e.scratch.hits
@@ -341,21 +320,21 @@ func (e *Engine) SpaceStats() core.SpaceStats {
 	if hits+misses > 0 {
 		rate = float64(hits) / float64(hits+misses)
 	}
-	peak := st.PeakLiveNodes
+	peak := st.LiveNodes
 	if e.scratch.peak > peak {
 		peak = e.scratch.peak
 	}
 	return core.SpaceStats{
 		LiveNodes:       st.LiveNodes,
 		PeakLiveNodes:   peak,
-		AllocatedSlots:  st.AllocatedSlots,
+		AllocatedSlots:  st.LiveNodes,
 		UniqueTableLoad: st.UniqueTableLoad,
 		CacheSize:       st.CacheSize,
 		CacheHits:       hits,
 		CacheMisses:     misses,
 		CacheEvictions:  st.CacheEvictions + e.scratch.evicts,
 		CacheHitRate:    rate,
-		GCRuns:          st.GCRuns,
-		GCReclaimed:     st.GCReclaimed + e.scratch.dropped,
+		GCRuns:          e.scratch.drops,
+		GCReclaimed:     e.scratch.dropped,
 	}
 }

@@ -12,9 +12,7 @@ import (
 // FuzzCompilerVsEvaluation is the native-fuzzing form of
 // TestFuzzCompilerAgainstEvaluation: the seed drives the random-spec
 // generator, and the compiled invariant is checked against direct AST
-// evaluation over the whole (tiny) state space — with a forced garbage
-// collection in between, so a GC bug that corrupts the hash-consed store
-// shows up as a membership flip.
+// evaluation over the whole (tiny) state space.
 func FuzzCompilerVsEvaluation(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 99, 2024} {
 		f.Add(seed)
@@ -26,9 +24,7 @@ func FuzzCompilerVsEvaluation(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generator produced an invalid spec: %v", err)
 		}
-		se.SetCompactionThreshold(1)
 		inv := se.Invariant()
-		se.Compact(nil) // forced collection; inv is an engine root
 
 		ix := protocol.NewIndexer(sp)
 		s := make(protocol.State, len(sp.Vars))

@@ -41,8 +41,8 @@ func orTree(m *bdd.Manager, terms []bdd.Ref) bdd.Ref {
 // level image work outside CyclicSCCs (ranking pre-images, recovery
 // probes). It shares the scratch copy memo, so the recurring inputs — the
 // group cubes, and the from/to/deadlock sets a candidate filter probes
-// against for every group of a process — migrate once per epoch instead
-// of once per operation.
+// against for every group of a process — migrate once per scratch manager
+// instead of once per operation.
 func (e *Engine) imgCtx() *sccCtx {
 	s := e.ensureScratch()
 	return &sccCtx{e: e, m: s.m, memo: s.memo}

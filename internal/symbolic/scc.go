@@ -13,11 +13,9 @@ import (
 // reclamation trivial — a scratch manager is dropped wholesale, the
 // coarsest possible collection. The engine retains one scratch manager
 // across calls (scratchMgr: warm operation cache, copy memo) and drops it
-// at a small live-node watermark. Inputs are migrated in and the (small)
-// resulting SCC predicates are migrated back. The main manager's
-// mark-and-sweep collector complements this: it reclaims garbage that
-// accumulates on the persistent store across calls, and CyclicSCCs' entry
-// is one of its safe points.
+// at a small node-count watermark. Inputs are migrated in and the (small)
+// resulting SCC predicates are migrated back; the persistent store keeps
+// only those results and the engine's own predicates.
 type sccCtx struct {
 	e     *Engine
 	m     *bdd.Manager
@@ -33,49 +31,38 @@ type sccCtx struct {
 // across CyclicSCCs calls. Reuse keeps the operation cache warm across
 // the many short calls a synthesis run makes, and the copy memo turns the
 // per-call migration of group cubes and the recurring `within` set into
-// map lookups. Validity is epoch-style: the memo's keys are persistent
-// Refs, so any persistent-manager collection (which may reuse slots)
-// flushes the memo — the scratch nodes and warm cache survive; prev
-// snapshots the counters already folded into the engine's scratch
-// totals so reuse never double-counts.
+// map lookups. The memo's keys are persistent Refs, which are never
+// reused, so it stays valid for the scratch manager's lifetime; prev
+// snapshots the counters already folded into the engine's scratch totals
+// so reuse never double-counts.
 type scratchMgr struct {
-	m      *bdd.Manager
-	memo   map[bdd.Ref]bdd.Ref // persistent Ref → scratch Ref
-	prev   bdd.Stats           // counters folded so far
-	gcRuns int                 // persistent GCRuns the memo is valid for
+	m    *bdd.Manager
+	memo map[bdd.Ref]bdd.Ref // persistent Ref → scratch Ref
+	prev bdd.Stats           // counters folded so far
 }
 
 // scratchRebuildNodes bounds the retained scratch store: past this many
-// live nodes the manager is dropped wholesale and rebuilt fresh.
+// nodes the manager is dropped wholesale and rebuilt fresh.
 const scratchRebuildNodes = 1 << 16
 
 // ensureScratch returns the retained scratch manager, rebuilding it when
-// the store outgrew the watermark. A persistent-manager collection is
-// cheaper to survive: scratch nodes are unaffected — only the memo's keys
-// (persistent refs whose slots may now be reused) go stale — so the memo
-// alone is flushed and the warm operation cache lives on.
+// the store outgrew the watermark.
 func (e *Engine) ensureScratch() *scratchMgr {
-	gc := e.m.GCRuns()
-	if s := e.sccScratch; s != nil {
-		if s.m.Live() > scratchRebuildNodes {
-			e.dropScratch()
-		} else if s.gcRuns != gc {
-			s.memo = make(map[bdd.Ref]bdd.Ref)
-			s.gcRuns = gc
-		}
+	if s := e.sccScratch; s != nil && s.m.Size() > scratchRebuildNodes {
+		e.dropScratch()
 	}
 	if e.sccScratch == nil {
 		e.sccScratch = &scratchMgr{
-			m:      bdd.New(e.m.NumVars()),
-			memo:   make(map[bdd.Ref]bdd.Ref),
-			gcRuns: gc,
+			m:    bdd.New(e.m.NumVars()),
+			memo: make(map[bdd.Ref]bdd.Ref),
 		}
 	}
 	return e.sccScratch
 }
 
 // dropScratch folds the retained scratch manager's outstanding counters
-// into the engine totals and releases it wholesale.
+// into the engine totals and releases it wholesale: the engine's one
+// collection.
 func (e *Engine) dropScratch() {
 	s := e.sccScratch
 	if s == nil {
@@ -86,8 +73,9 @@ func (e *Engine) dropScratch() {
 	e.scratch.misses += st.CacheMisses - s.prev.CacheMisses
 	e.scratch.evicts += st.CacheEvictions - s.prev.CacheEvictions
 	e.scratch.dropped += uint64(st.LiveNodes)
-	if st.PeakLiveNodes > e.scratch.peak {
-		e.scratch.peak = st.PeakLiveNodes
+	e.scratch.drops++
+	if st.LiveNodes > e.scratch.peak {
+		e.scratch.peak = st.LiveNodes
 	}
 	e.sccScratch = nil
 }
@@ -103,8 +91,8 @@ func (e *Engine) settleScratch(ctx *sccCtx) {
 	e.scratch.hits += st.CacheHits - s.prev.CacheHits
 	e.scratch.misses += st.CacheMisses - s.prev.CacheMisses
 	e.scratch.evicts += st.CacheEvictions - s.prev.CacheEvictions
-	if st.PeakLiveNodes > e.scratch.peak {
-		e.scratch.peak = st.PeakLiveNodes
+	if st.LiveNodes > e.scratch.peak {
+		e.scratch.peak = st.LiveNodes
 	}
 	s.prev = st
 }
@@ -171,11 +159,8 @@ func (c *sccCtx) copyBack(f bdd.Ref, memo map[bdd.Ref]bdd.Ref) bdd.Ref {
 // essential: without it the enumeration would visit one trivial SCC per
 // acyclic state.
 //
-// The call's entry is a collection safe point for the main manager: sets
-// not pinned via Retain (or handed out by the previous CyclicSCCs call,
-// which stay valid until this one) may be reclaimed here. The returned
-// components live on the main manager and are kept as collection roots
-// until the next CyclicSCCs call releases them.
+// The returned components live on the persistent manager and stay valid
+// for the engine's lifetime.
 func (e *Engine) CyclicSCCs(gs []core.Group, within core.Set) []core.Set {
 	t0 := time.Now() //lint:ignore determinism wall-clock SCC stats only; synthesis results never read them
 	defer func() {
@@ -183,21 +168,9 @@ func (e *Engine) CyclicSCCs(gs []core.Group, within core.Set) []core.Set {
 		e.stats.SCCCalls++
 	}()
 
-	// Components handed out by the previous call expire now.
-	for _, s := range e.sccs {
-		e.m.Release(s)
-	}
-	e.sccs = e.sccs[:0]
-
-	// Safe point: `within` must survive the collection, so pin it first
-	// (group cubes are kept permanently by the engine's interning).
-	w := e.m.Keep(within.(bdd.Ref))
-	defer e.m.Release(w)
-	e.m.MaybeGC()
-
 	ctx := e.newSCCCtx(gs)
 	defer e.settleScratch(ctx)
-	c := ctx.copyIn(w, ctx.memo)
+	c := ctx.copyIn(within.(bdd.Ref), ctx.memo)
 
 	// Trim to the cycle core. Empty ⇔ the graph restricted to within is
 	// acyclic — the common case while the heuristic is doing its job. Every
@@ -210,20 +183,17 @@ func (e *Engine) CyclicSCCs(gs []core.Group, within core.Set) []core.Set {
 		return nil
 	}
 
+	var out []core.Set
 	backMemo := make(map[bdd.Ref]bdd.Ref)
 	ctx.skeletonEnum(c, func(scc bdd.Ref) {
 		if !ctx.hasInternalTransition(scc) {
 			return
 		}
 		back := ctx.copyBack(scc, backMemo)
-		e.sccs = append(e.sccs, e.m.Keep(back))
+		out = append(out, back)
 		e.stats.SCCCount++
 		e.stats.SCCSizeTotal += e.m.DagSize(back)
 	})
-	out := make([]core.Set, len(e.sccs))
-	for i, s := range e.sccs {
-		out[i] = s
-	}
 	return out
 }
 

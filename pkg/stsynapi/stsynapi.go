@@ -138,7 +138,8 @@ type Response struct {
 
 // BDDStats is the JSON rendering of the symbolic engine's substrate
 // statistics (core.SpaceStats): node-store occupancy, operation-cache
-// behavior and garbage-collection work for one synthesis run.
+// behavior and reclamation work for one synthesis run. GCRuns counts the
+// scratch managers dropped wholesale and GCReclaimed the nodes they held.
 type BDDStats struct {
 	LiveNodes       int     `json:"live_nodes"`
 	PeakLiveNodes   int     `json:"peak_live_nodes"`

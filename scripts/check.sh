@@ -15,10 +15,10 @@ fi
 
 go vet ./...
 
-# Project invariants: the repo's own analyzers (flow-sensitive Keep/Release
-# discipline, goroutine join paths, lock/blocking separation, determinism of
-# the synthesis core, context flow, dependency direction, panic-freedom of
-# the serving tiers, metric naming, pinned pkg/ API surface). Gating: any
+# Project invariants: the repo's own analyzers (goroutine join paths,
+# lock/blocking separation, determinism of the synthesis core, context
+# flow, dependency direction, panic-freedom of the serving tiers, metric
+# naming, pinned pkg/ API surface). Gating: any
 # finding fails the build; intentional violations carry //lint:ignore
 # directives with reasons, and stale directives are themselves findings.
 go run ./cmd/stsyn-vet ./...
@@ -104,8 +104,8 @@ coverage_floor() {
     echo "$cov"
 }
 
-# The BDD manager: the GC and cache paths must stay exercised by the
-# property tests.
+# The BDD manager: the node-store and cache paths must stay exercised by
+# the property tests.
 bddcov=$(coverage_floor internal/bdd 85)
 
 # The analyzer suite itself: stsyn-vet gates every other package, so its
